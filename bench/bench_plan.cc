@@ -58,11 +58,7 @@ PlanRun RunPlan(int fuse, int iters) {
   internal::SetFusionForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
-  for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
-    }
-  }
+  THALI_CHECK_OK(net.FoldBatchNorm());
 
   Tensor input(net.input_shape());
   Rng irng(17);

@@ -33,13 +33,15 @@ echo "== prepost smoke: pre/post fast-path parity suite =="
 # Detect stability pin across THALI_NO_FASTPRE (tests/prepost).
 ctest --test-dir build --output-on-failure -j "${JOBS}" -L prepost_smoke
 
-echo "== int8 chained-edge gate: calibrated yolov4-thali must chain =="
-# End-to-end THALI_INT8=1 forward on the fused plan; the test fails if
-# the compiled plan reports zero chained edges, fewer than 49 quantized
-# layers, or a cold (fp32) network input on yolov4-thali after
-# calibration + replan.
+echo "== int8 resolution + chained-edge gate: calibrated yolov4-thali =="
+# Plan resolution on yolov4-thali: before calibration no conv may
+# resolve to an int8 algorithm (the 25 candidates run fp32); after
+# calibration + replan all 25 candidates must. Then the end-to-end
+# THALI_INT8=1 forward on the fused plan fails if the compiled plan
+# reports zero chained edges, fewer than 49 quantized layers, or a cold
+# (fp32) network input.
 THALI_INT8=1 ./build/tests/int8/int8_test \
-  --gtest_filter='Int8Test.ReplanAfterCalibrationChainsMajorityOfThali'
+  --gtest_filter='Int8Test.PlanSelectsInt8OnlyForEligibleUnpinnedConvs:Int8Test.ReplanAfterCalibrationChainsMajorityOfThali'
 
 if [[ "${TIER1_ONLY}" == "1" ]]; then
   echo "verify: tier-1 PASS (sanitizer suites skipped)"

@@ -203,13 +203,7 @@ std::vector<std::vector<Detection>> Detector::DetectBatch(
   return results;
 }
 
-void Detector::FuseBatchNorm() {
-  for (int i = 0; i < net_->num_layers(); ++i) {
-    if (std::string_view(net_->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net_->layer(i)).FoldBatchNorm();
-    }
-  }
-}
+void Detector::FuseBatchNorm() { THALI_CHECK_OK(net_->FoldBatchNorm()); }
 
 void Detector::ForwardImage(const Image& image) {
   if (net_->batch() != 1) THALI_CHECK_OK(net_->SetBatch(1));
@@ -245,26 +239,19 @@ int Detector::CalibrateInt8(const FoodDataset& dataset,
   ReentrancyGuard guard(in_detect_);
   // The quantized path runs on folded weights; fold first so the
   // observed ranges describe the network int8 actually executes.
-  // (FoldBatchNorm is a per-layer no-op once folded.)
-  for (int i = 0; i < net_->num_layers(); ++i) {
-    if (std::string_view(net_->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net_->layer(i)).FoldBatchNorm();
-    }
-  }
+  // (Folding is a per-layer no-op once folded.)
+  THALI_CHECK_OK(net_->FoldBatchNorm());
   std::vector<ConvLayer*> eligible;
   for (int i = 0; i < net_->num_layers(); ++i) {
-    Layer& l = net_->layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
+    if (net_->layer(i).plan().int8_candidate) {
+      eligible.push_back(static_cast<ConvLayer*>(&net_->layer(i)));
     }
-    eligible.push_back(static_cast<ConvLayer*>(&l));
   }
   if (eligible.empty() || indices.empty()) return 0;
   for (ConvLayer* conv : eligible) conv->ResetCalibration();
-  // Dropping the ranges invalidates any quantize-once chains a previous
-  // calibration installed; re-plan before the fp32 calibration forwards.
+  // Dropping the ranges resolves every candidate back to its fp32
+  // algorithm (and drops any quantize-once chains a previous calibration
+  // installed); re-plan before the fp32 calibration forwards.
   THALI_CHECK_OK(net_->ReplanInference());
 
   const int limit = std::min(static_cast<int>(indices.size()),
@@ -286,8 +273,8 @@ int Detector::CalibrateInt8(const FoodDataset& dataset,
     conv->FinalizeCalibration(percentile ? options.percentile : 100.0);
     if (conv->has_activation_range()) ++armed;
   }
-  // The freshly installed ranges make quantize-once chains legal;
-  // recompile the plan so the next Forward runs them.
+  // The freshly installed ranges arm the candidates; recompile the plan
+  // so the next Forward runs them int8, chained where legal.
   THALI_CHECK_OK(net_->ReplanInference());
   return armed;
 }

@@ -132,10 +132,12 @@ class Detector {
   // Arms the THALI_INT8 conv path: folds batch norms (the quantized
   // path runs on folded weights), then runs fp32 forward passes over
   // `indices` into `dataset` with the network's calibration phase set,
-  // and installs each eligible conv's activation range. A no-op network
-  // without kQuantInt8 plan entries (int8 off) returns 0. Returns the
-  // number of conv layers armed for int8. Persist the result with
-  // darknet/calibration_io.h to skip this pass on later loads.
+  // and installs the activation range of each int8 candidate (see
+  // LayerPlan::int8_candidate); the closing replan resolves them to
+  // their int8 algorithms. A network without candidates (int8 off)
+  // returns 0. Returns the number of conv layers armed for int8. Persist
+  // the result with darknet/calibration_io.h to skip this pass on later
+  // loads.
   int CalibrateInt8(const FoodDataset& dataset, std::span<const int> indices,
                     const Int8CalibrationOptions& options);
   int CalibrateInt8(const FoodDataset& dataset, std::span<const int> indices) {

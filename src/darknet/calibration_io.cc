@@ -87,8 +87,9 @@ StatusOr<int> LoadCalibration(Network& net, const std::string& path) {
         .SetActivationRange(e.range_min, e.range_max);
     ++armed;
   }
-  // Installed ranges enable quantize-once chaining; recompile the plan
-  // so the chains take effect before the next Forward.
+  // Installed ranges arm the int8 candidates (once batch norm is
+  // folded); recompile the plan so they, and the quantize-once chains,
+  // take effect before the next Forward.
   THALI_RETURN_IF_ERROR(net.ReplanInference());
   return armed;
 }

@@ -78,36 +78,43 @@ std::string NetworkSummary(const Network& net) {
                     DimString(layer.output_shape()).c_str(),
                     static_cast<long long>(params));
   }
-  // Compiled-plan table: which algorithm/layout/dtype each layer actually
-  // runs with, so plan decisions are inspectable without digging through
-  // ExecPlan::ToString logs. Only meaningful once a fused inference plan
-  // exists; reference plans print the headline line only.
+  // Compiled-plan table: the kernel each conv resolved to (algorithm,
+  // weight dtype, epilogue stages) and every layer's layouts and
+  // activation dtypes, so plan decisions are inspectable without digging
+  // through ExecPlan::ToString logs. Only meaningful once a fused
+  // inference plan exists; reference plans print the headline line only.
   const ExecPlan& plan = net.exec_plan();
   int64_t int8_bytes = 0;
   int int8_layers = 0;
   if (plan.fused) {
-    os << StrFormat("\nplan: %4s  %-14s %10s  %5s %5s  %6s %5s  %4s %4s %8s\n",
-                    "idx", "type", "algo", "in", "out", "elide", "dtype",
-                    "din", "dout", "chain");
+    os << StrFormat(
+        "\nplan: %4s  %-14s %10s %5s  %-19s %5s %5s  %6s  %4s %4s %8s\n",
+        "idx", "type", "algo", "wtype", "epilogue", "in", "out", "elide",
+        "din", "dout", "chain");
     for (int i = 0; i < net.num_layers(); ++i) {
       const Layer& layer = net.layer(i);
       const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-      const char* dtype = "f32";
-      if (lp.conv_algo == ConvAlgo::kQuantInt8 ||
-          lp.conv_algo == ConvAlgo::kQuantInt8Direct1x1) {
-        const auto& conv = static_cast<const ConvLayer&>(layer);
-        // A quantized plan entry runs fp32 until calibration arms it.
-        dtype = conv.has_activation_range() ? DTypeName(DType::kI8) : "f32*";
-        int8_bytes += conv.int8_weight_bytes();
-        ++int8_layers;
+      const bool conv = std::string_view(layer.kind()) == "convolutional";
+      std::string epilogue = "-";
+      const char* wtype = "-";
+      if (conv) {
+        const auto& cv = static_cast<const ConvLayer&>(layer);
+        epilogue = cv.EpilogueName();
+        wtype = DTypeName(DType::kF32);
+        if (IsInt8ConvAlgo(lp.conv_algo)) {
+          wtype = DTypeName(DType::kI8);
+          int8_bytes += cv.int8_weight_bytes();
+          ++int8_layers;
+        }
       }
-      os << StrFormat("plan: %4d  %-14s %10s  %5s %5s  %6s %5s  %4s %4s %8s\n",
-                      i, std::string(layer.kind()).c_str(),
-                      ConvAlgoName(lp.conv_algo), ActLayoutName(lp.in_layout),
-                      ActLayoutName(lp.out_layout),
-                      lp.copy_elided ? "elide" : "-", dtype,
-                      DTypeName(lp.in_dtype), DTypeName(lp.out_dtype),
-                      lp.in_dtype == DType::kU8 ? "chained" : "-");
+      os << StrFormat(
+          "plan: %4d  %-14s %10s %5s  %-19s %5s %5s  %6s  %4s %4s %8s\n", i,
+          std::string(layer.kind()).c_str(),
+          conv ? ConvAlgoName(lp.conv_algo) : "-", wtype, epilogue.c_str(),
+          ActLayoutName(lp.in_layout), ActLayoutName(lp.out_layout),
+          lp.copy_elided ? "elide" : "-", DTypeName(lp.in_dtype),
+          DTypeName(lp.out_dtype),
+          lp.in_dtype == DType::kU8 ? "chained" : "-");
     }
   }
   os << StrFormat(

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "base/file_util.h"
 #include "base/string_util.h"
@@ -93,12 +95,20 @@ StatusOr<int> LoadWeights(Network& net, const std::string& path, int cutoff) {
     THALI_RETURN_IF_ERROR(r.Read(&seen32, sizeof(seen32)));
   }
 
+  // Validate the whole payload before touching any tensor, so a bad
+  // file leaves the network exactly as it was. Every conv the file
+  // reaches must be complete (a file may end early at a conv boundary:
+  // backbone-only checkpoints), and a full load (no cutoff) must consume
+  // the file exactly — leftover bytes mean the file's per-conv layout
+  // differs from the network's, e.g. batch-norm parameters a folded
+  // network no longer reads.
   const int limit = cutoff < 0 ? net.num_layers() : cutoff;
-  int loaded = 0;
+  std::vector<ConvLayer*> convs;
+  size_t need_total = 0;
   for (int i = 0; i < net.num_layers() && i < limit; ++i) {
     Layer& l = net.layer(i);
     if (std::string_view(l.kind()) != "convolutional") continue;
-    if (r.AtEnd()) break;  // shorter checkpoint (e.g. backbone-only file)
+    if (need_total == r.remaining()) break;  // shorter checkpoint
     auto& conv = static_cast<ConvLayer&>(l);
     const size_t need =
         sizeof(float) *
@@ -106,21 +116,30 @@ StatusOr<int> LoadWeights(Network& net, const std::string& path, int cutoff) {
             conv.biases().size() +
             (conv.options().batch_normalize ? 3 * conv.scales().size() : 0) +
             conv.weights().size());
-    if (r.remaining() < need) {
+    if (r.remaining() - need_total < need) {
       return Status::Corruption(
           StrFormat("weights truncated at conv layer %d", i));
     }
-    THALI_RETURN_IF_ERROR(r.ReadTensor(conv.biases()));
-    if (conv.options().batch_normalize) {
-      THALI_RETURN_IF_ERROR(r.ReadTensor(conv.scales()));
-      THALI_RETURN_IF_ERROR(r.ReadTensor(conv.rolling_mean()));
-      THALI_RETURN_IF_ERROR(r.ReadTensor(conv.rolling_var()));
-    }
-    THALI_RETURN_IF_ERROR(r.ReadTensor(conv.weights()));
-    conv.MarkWeightsDirty();  // inference nets re-pack on the next Forward
-    ++loaded;
+    need_total += need;
+    convs.push_back(&conv);
   }
-  return loaded;
+  if (cutoff < 0 && need_total < r.remaining()) {
+    return Status::Corruption(StrFormat(
+        "%zu bytes left after the last conv layer: the file's layout does "
+        "not match the network (batch norm folded on one side only?)",
+        r.remaining() - need_total));
+  }
+  for (ConvLayer* conv : convs) {
+    THALI_RETURN_IF_ERROR(r.ReadTensor(conv->biases()));
+    if (conv->options().batch_normalize) {
+      THALI_RETURN_IF_ERROR(r.ReadTensor(conv->scales()));
+      THALI_RETURN_IF_ERROR(r.ReadTensor(conv->rolling_mean()));
+      THALI_RETURN_IF_ERROR(r.ReadTensor(conv->rolling_var()));
+    }
+    THALI_RETURN_IF_ERROR(r.ReadTensor(conv->weights()));
+    conv->MarkWeightsDirty();  // inference nets re-pack on the next Forward
+  }
+  return static_cast<int>(convs.size());
 }
 
 StatusOr<uint64_t> ReadWeightsSeen(const std::string& path) {

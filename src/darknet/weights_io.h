@@ -26,7 +26,10 @@ Status SaveWeights(Network& net, const std::string& path,
 
 // Loads parameters into an already-built network. Layers beyond `cutoff`
 // (or beyond the data present in the file) keep their current weights.
-// Returns the number of conv layers loaded.
+// Returns the number of conv layers loaded. All-or-nothing: a file that
+// ends inside a conv's parameters, or — without a cutoff — has bytes
+// left after the last conv (a batch-norm file into a folded network),
+// is kCorruption and changes no weight.
 StatusOr<int> LoadWeights(Network& net, const std::string& path,
                           int cutoff = -1);
 

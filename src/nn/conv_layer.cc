@@ -6,8 +6,6 @@
 #include "base/thread_pool.h"
 #include "nn/network.h"
 #include "tensor/act_kernels.h"
-#include "tensor/gemm.h"
-#include "tensor/gemm_int8.h"
 #include "tensor/gemm_pack.h"
 #include "tensor/im2col.h"
 #include "tensor/winograd.h"
@@ -94,82 +92,146 @@ Status ConvLayer::Rebatch(const Shape& input_shape, const Network&) {
   return Status::OK();
 }
 
-int64_t ConvLayer::WorkspaceSize() const {
-  switch (plan().conv_algo) {
-    case ConvAlgo::kDirect1x1:
-      return 0;  // the input planes are the GEMM B matrix
-    case ConvAlgo::kWinograd:
-      return WinogradWorkspaceFloats(in_c_, opts_.filters, in_shape_.dim(2),
-                                     in_shape_.dim(3));
-    case ConvAlgo::kQuantInt8: {
-      // The int8 path's byte scratch, and enough for the fp32 forward it
-      // falls back to before calibration (or under THALI_NO_PACK):
-      // Winograd at stride 1, the im2col panel at stride 2.
-      const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-      const int64_t int8_floats =
-          (Int8ConvWorkspaceBytes(opts_.filters, out_h_ * out_w_, k,
-                                  in_c_ * in_shape_.dim(2) *
-                                      in_shape_.dim(3)) +
-           3) /
-          4;
-      const int64_t fallback_floats =
-          opts_.stride == 1
-              ? WinogradWorkspaceFloats(in_c_, opts_.filters,
-                                        in_shape_.dim(2), in_shape_.dim(3))
-              : k * out_h_ * out_w_;
-      return std::max(int8_floats, fallback_floats);
-    }
-    case ConvAlgo::kQuantInt8Direct1x1: {
-      // With CNHW on both sides the whole batch is one GEMM over a
-      // [C, batch*HW] panel; otherwise the path runs per item. The
-      // fp32 kDirect1x1 fallback needs no scratch at all.
-      const bool whole = plan().in_layout == ActLayout::kCNHW &&
-                         plan().out_layout == ActLayout::kCNHW;
-      const int64_t n =
-          (whole ? in_shape_.dim(0) : int64_t{1}) * out_h_ * out_w_;
-      return (Int8Direct1x1WorkspaceBytes(opts_.filters, n, in_c_) + 3) / 4;
-    }
-    case ConvAlgo::kIm2col:
-      break;
-  }
-  if (IsDirect1x1()) return 0;  // input planes already form the col matrix
-  return in_c_ * opts_.ksize * opts_.ksize * out_h_ * out_w_;
-}
+int64_t ConvLayer::WorkspaceSize() const { return kernel_.ws_floats; }
 
 void ConvLayer::OnPlanUpdated() {
-  int8_ws_ = Int8Sections();
-  const ConvAlgo algo = plan().conv_algo;
-  if (algo != ConvAlgo::kQuantInt8 &&
-      algo != ConvAlgo::kQuantInt8Direct1x1) {
-    return;
+  if (inference() && (packed_dirty_ || packed_algo_ != plan().conv_algo)) {
+    PrepackWeights();
   }
-  const auto align64 = [](int64_t v) { return (v + 63) / 64 * 64; };
+  ResolveKernel();
+}
+
+void ConvLayer::ResolveKernel() {
+  const LayerPlan& lp = plan();
+  const int64_t batch = in_shape_.dim(0);
+  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
   const int64_t out_hw = out_h_ * out_w_;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const int64_t kp = Int8PackedK(k);
-  if (algo == ConvAlgo::kQuantInt8) {
-    const int64_t in_planes = in_c_ * in_shape_.dim(2) * in_shape_.dim(3);
-    int8_ws_.gemm_n = out_hw;
-    int8_ws_.qin = 0;
-    int8_ws_.col = align64(in_planes);
-    int8_ws_.packed = int8_ws_.col + align64(k * out_hw);
-    int8_ws_.acc = int8_ws_.packed + align64(kp * out_hw);
-    int8_ws_.ws_floats =
-        (Int8ConvWorkspaceBytes(opts_.filters, out_hw, k, in_planes) + 3) / 4;
-  } else {
-    int8_ws_.whole_batch = plan().in_layout == ActLayout::kCNHW &&
-                           plan().out_layout == ActLayout::kCNHW;
-    const int64_t n =
-        (int8_ws_.whole_batch ? in_shape_.dim(0) : int64_t{1}) * out_hw;
-    int8_ws_.gemm_n = n;
-    int8_ws_.qin = 0;
-    int8_ws_.col = -1;  // no im2col panel on the direct path
-    int8_ws_.packed = align64(k * n);
-    int8_ws_.acc = int8_ws_.packed + align64(kp * n);
-    int8_ws_.ws_floats =
-        (Int8Direct1x1WorkspaceBytes(opts_.filters, n, k) + 3) / 4;
+  const bool cnhw_in = lp.in_layout == ActLayout::kCNHW;
+  Kernel kr;
+  kr.batch = batch;
+  kr.cnhw_out = lp.out_layout == ActLayout::kCNHW;
+  kr.in_item = cnhw_in ? in_hw : in_c_ * in_hw;
+  kr.in_chan_stride = cnhw_in ? batch * in_hw : in_hw;
+  kr.out_item = kr.cnhw_out ? out_hw : opts_.filters * out_hw;
+  kr.out_chan_stride = kr.cnhw_out ? batch * out_hw : out_hw;
+  kr.whole_batch = cnhw_in && kr.cnhw_out;
+
+  // Epilogue. Inference GEMMs over packed weights fuse the bias add and
+  // the activation into the C write-back once batch norm is folded;
+  // leaky/ReLU replicate the separate passes op for op, so fused and
+  // staged outputs are bitwise identical. Mish fuses through the fast
+  // kernel family the fused plan's own pass runs (fast_act), or — on
+  // the int8 algorithms — only when requantizing to u8, so f32-out
+  // values match the unchained path's separate FastMishInPlace pass.
+  // Winograd has no GEMM C traversal spanning the output to fuse into.
+  const bool int8 = IsInt8ConvAlgo(lp.conv_algo);
+  kr.u8_out = int8 && lp.out_dtype == DType::kU8;
+  kr.fused_bias = int8 || (inference() && !opts_.batch_normalize &&
+                           (lp.conv_algo == ConvAlgo::kIm2col ||
+                            lp.conv_algo == ConvAlgo::kDirect1x1));
+  GemmActivation act = GemmActivation::kNone;
+  bool act_fusable = false;
+  switch (opts_.activation) {
+    case Activation::kLinear:
+      act_fusable = true;  // nothing to apply
+      break;
+    case Activation::kLeaky:
+      act = GemmActivation::kLeaky;
+      act_fusable = true;
+      break;
+    case Activation::kRelu:
+      act = GemmActivation::kRelu;
+      act_fusable = true;
+      break;
+    case Activation::kMish:
+      act = GemmActivation::kMish;
+      act_fusable = int8 ? kr.u8_out : lp.fast_act;
+      break;
+    default:
+      break;  // logistic keeps its separate activation pass
   }
-  int8_ws_.valid = true;
+  const bool fused_act = kr.fused_bias && act_fusable;
+  if (fused_act) {
+    kr.act_pass = ActPass::kNone;
+  } else if (inference() && lp.fast_act &&
+             opts_.activation == Activation::kMish) {
+    kr.act_pass = ActPass::kFastMish;
+  }
+  if (kr.fused_bias && !int8) {
+    kr.gemm.bias = biases_.data();
+    kr.gemm.activation = fused_act ? act : GemmActivation::kNone;
+  }
+  if (int8) {
+    // The u8 input either chains from the producer's block (in the
+    // edge domain the plan assigned) or is quantized here from the fp32
+    // planes in the layer's own calibrated domain.
+    kr.chained_in = lp.in_dtype == DType::kU8;
+    const int32_t in_zp = kr.chained_in ? lp.in_qzp : act_in_zp_;
+    kr.int8.in_scale = kr.chained_in ? lp.in_qscale : act_in_scale_;
+    kr.int8.in_zp = in_zp;
+    kr.int8.wscale = qweights_.scale.data();
+    kr.int8.wcolsum = wcolsum_.data();
+    kr.int8.bias = biases_.data();
+    kr.int8.activation = fused_act ? act : GemmActivation::kNone;
+    if (kr.u8_out) {
+      THALI_CHECK(fused_act)
+          << "conv " << index() << ": u8-out plan with unfusable activation";
+      kr.int8.out_inv_scale = 1.0f / lp.out_qscale;
+      kr.int8.out_zp = lp.out_qzp;
+    }
+    kr.quant_inv_scale = 1.0f / act_in_scale_;
+    kr.in_zp_byte = static_cast<uint8_t>(in_zp);
+  }
+
+  // Workspace: im2col panels, Winograd transform buffers, or the int8
+  // byte sections (quantized input planes, u8 im2col panel, packed
+  // activation panel, i32 accumulator tile) inside the float slot.
+  const auto align64 = [](int64_t v) { return (v + 63) / 64 * 64; };
+  const int64_t kp = Int8PackedK(k);
+  switch (lp.conv_algo) {
+    case ConvAlgo::kIm2col:
+      kr.ws_floats = IsDirect1x1() ? 0 : k * out_hw;
+      break;
+    case ConvAlgo::kDirect1x1:
+      break;  // the input planes are the GEMM B matrix
+    case ConvAlgo::kWinograd:
+      kr.ws_floats = WinogradWorkspaceFloats(
+          in_c_, opts_.filters, in_shape_.dim(2), in_shape_.dim(3));
+      break;
+    case ConvAlgo::kQuantInt8: {
+      const int64_t in_planes = in_c_ * in_hw;
+      kr.col = align64(in_planes);
+      kr.packed = kr.col + align64(k * out_hw);
+      kr.acc = kr.packed + align64(kp * out_hw);
+      kr.ws_floats =
+          (Int8ConvWorkspaceBytes(opts_.filters, out_hw, k, in_planes) + 3) /
+          4;
+      break;
+    }
+    case ConvAlgo::kQuantInt8Direct1x1: {
+      const int64_t n = (kr.whole_batch ? batch : int64_t{1}) * out_hw;
+      kr.packed = align64(k * n);
+      kr.acc = kr.packed + align64(kp * n);
+      kr.ws_floats = (Int8Direct1x1WorkspaceBytes(opts_.filters, n, k) + 3) / 4;
+      break;
+    }
+  }
+  kernel_ = kr;
+}
+
+std::string ConvLayer::EpilogueName() const {
+  const std::string bias = opts_.batch_normalize ? "bn" : "bias";
+  const std::string act = ActivationToString(opts_.activation);
+  std::string name;
+  if (!kernel_.fused_bias) {
+    name = bias + " " + act;
+  } else if (kernel_.act_pass != ActPass::kNone) {
+    name = "gemm(" + bias + ") " + act;
+  } else {
+    name = "gemm(" + bias + "," + act + ")";
+  }
+  return kernel_.u8_out ? name + ">u8" : name;
 }
 
 void ConvLayer::InitWeights(Rng& rng) {
@@ -189,66 +251,38 @@ void ConvLayer::InitWeights(Rng& rng) {
 }
 
 void ConvLayer::PrepackWeights() {
-  if (!inference()) return;
-  const bool quant_algo = plan().conv_algo == ConvAlgo::kQuantInt8 ||
-                          plan().conv_algo == ConvAlgo::kQuantInt8Direct1x1;
-  if (quant_algo) {
-    // Quantize the fp32 weights per output channel. The fp32 pack below
-    // (Winograd for stride-1 3x3, plain panels for 1x1 and the strided
-    // prefix) is kept too: Forward falls back to it until the layer has
-    // a calibrated activation range (and under THALI_NO_PACK).
-    const int64_t m = opts_.filters;
-    const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-    const Shape qshape({m, Int8PackedK(k)});
-    if (qweights_.q.dtype() != DType::kI8 ||
-        !(qweights_.q.shape() == qshape)) {
-      qweights_.q.Resize(DType::kI8, qshape);
-    }
-    qweights_.scale.resize(static_cast<size_t>(m));
-    qweights_.zero_point = 0;
-    wcolsum_.resize(static_cast<size_t>(m));
-    Int8QuantizeWeights(weights_.data(), m, k, qweights_.q.data<int8_t>(),
-                        qweights_.scale.data(), wcolsum_.data());
-  } else {
-    qweights_.Clear();
-    wcolsum_.clear();
-  }
-  if (plan().conv_algo == ConvAlgo::kQuantInt8Direct1x1) {
-    // The 1x1 quant path shares the plain fp32 panel pack below for its
-    // kDirect1x1 fallback; no Winograd state.
-    u_ = Tensor();
-    wino_packed_ = Tensor();
-  }
-  if (plan().conv_algo == ConvAlgo::kWinograd ||
-      (plan().conv_algo == ConvAlgo::kQuantInt8 && opts_.stride == 1)) {
-    // Winograd plans always hold U = G w G^T (the GEMM A matrices); the
-    // prepacked panel copy exists only while the packed driver is on —
-    // THALI_NO_PACK runs the 16 GEMMs through the reference entry point
-    // straight from u_.
-    const int64_t uf = WinogradWeightFloats(opts_.filters, in_c_);
-    if (u_.size() != uf) u_.Resize(Shape({uf}));
-    WinogradTransformWeights(weights_.data(), opts_.filters, in_c_, u_.data());
-    if (GemmPackingEnabled()) {
-      const int64_t pf = WinogradPackedWeightFloats(opts_.filters, in_c_);
-      if (wino_packed_.size() != pf) wino_packed_.Resize(Shape({pf}));
-      WinogradPackWeights(u_.data(), opts_.filters, in_c_, wino_packed_.data());
-    } else {
-      wino_packed_ = Tensor();
-    }
-    packed_weights_ = Tensor();
-    packed_dirty_ = false;
-    return;
-  }
-  if (!GemmPackingEnabled()) return;
   const int64_t m = opts_.filters;
   const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const int64_t floats = GemmPackedWeightFloats(m, k);
-  if (packed_weights_.size() != floats) {
-    packed_weights_.Resize(Shape({floats}));
-  }
-  GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
-  u_ = Tensor();
+  packed_weights_ = Tensor();
   wino_packed_ = Tensor();
+  qweights_.Clear();
+  wcolsum_.clear();
+  switch (plan().conv_algo) {
+    case ConvAlgo::kIm2col:
+    case ConvAlgo::kDirect1x1:
+      packed_weights_.Resize(Shape({GemmPackedWeightFloats(m, k)}));
+      GemmPackWeights(weights_.data(), m, k, packed_weights_.data());
+      break;
+    case ConvAlgo::kWinograd: {
+      // U = G w G^T (the 16 GEMM A matrices) is only a staging step for
+      // the packed panels.
+      std::vector<float> u(static_cast<size_t>(WinogradWeightFloats(m, in_c_)));
+      WinogradTransformWeights(weights_.data(), m, in_c_, u.data());
+      wino_packed_.Resize(Shape({WinogradPackedWeightFloats(m, in_c_)}));
+      WinogradPackWeights(u.data(), m, in_c_, wino_packed_.data());
+      break;
+    }
+    case ConvAlgo::kQuantInt8:
+    case ConvAlgo::kQuantInt8Direct1x1:
+      qweights_.q.Resize(DType::kI8, Shape({m, Int8PackedK(k)}));
+      qweights_.scale.resize(static_cast<size_t>(m));
+      qweights_.zero_point = 0;
+      wcolsum_.resize(static_cast<size_t>(m));
+      Int8QuantizeWeights(weights_.data(), m, k, qweights_.q.data<int8_t>(),
+                          qweights_.scale.data(), wcolsum_.data());
+      break;
+  }
+  packed_algo_ = plan().conv_algo;
   packed_dirty_ = false;
 }
 
@@ -268,407 +302,53 @@ const float* ConvLayer::PrepareCol(const float* in, int64_t chan_stride,
 }
 
 void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
-  const int64_t batch = in_shape_.dim(0);
-  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
-  const int64_t out_hw = out_h_ * out_w_;
-  const int64_t in_plane = in_c_ * in_hw;
-  const int64_t out_plane = opts_.filters * out_hw;
-  const int64_t m = opts_.filters;
-  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
-  const int64_t n = out_hw;
-  const bool direct = IsDirect1x1();
-
-  // Layout strides from the compiled plan. NCHW: item b's channel c
-  // plane at (b*C + c)*HW — per-item base b*in_plane, channel stride
-  // HW. CNHW: plane (c, b) at (c*batch + b)*HW — per-item base b*HW,
-  // channel stride batch*HW. Both the im2col gather and the GEMM C
-  // write-back absorb either layout through these strides.
-  ConvAlgo algo = plan().conv_algo;
-  if (algo == ConvAlgo::kQuantInt8 ||
-      algo == ConvAlgo::kQuantInt8Direct1x1) {
-    if (net.calib_phase() != CalibPhase::kOff) {
-      ObserveCalibration(input, net.calib_phase());
-    }
-    // The quantized path needs a calibrated input range, folded batch
-    // norm and the packed-GEMM regime; until then (and during
-    // calibration passes) the layer runs its fp32 fallback — Winograd
-    // for the 3x3 geometry, direct 1x1 otherwise. A CHAINED layer has
-    // no fp32 fallback (its u8 input is never materialized as floats),
-    // which is why every calibration-state change must go through
-    // Network::ReplanInference before the next Forward.
-    const bool int8_active = !opts_.batch_normalize && has_act_range_ &&
-                             net.calib_phase() == CalibPhase::kOff &&
-                             GemmPackingEnabled();
-    if (!int8_active) {
-      THALI_CHECK(plan().in_dtype == DType::kF32 &&
-                  plan().out_dtype == DType::kF32)
-          << "conv " << index()
-          << ": chained int8 plan with an inactive quantized path — "
-             "ReplanInference was skipped after a calibration change";
-      if (algo == ConvAlgo::kQuantInt8) {
-        // Stride-1 3x3 falls back to Winograd; the strided prefix convs
-        // have no Winograd form and fall back to the im2col reference.
-        algo = opts_.stride == 1 ? ConvAlgo::kWinograd : ConvAlgo::kIm2col;
-      } else {
-        algo = ConvAlgo::kDirect1x1;
-      }
-    }
-  }
-  const bool cnhw_in = plan().in_layout == ActLayout::kCNHW;
-  const bool cnhw_out = plan().out_layout == ActLayout::kCNHW;
-  const int64_t in_chan_stride = cnhw_in ? batch * in_hw : in_hw;
-  const int64_t out_chan_stride = cnhw_out ? batch * out_hw : out_hw;
-  const int64_t in_item = cnhw_in ? in_hw : in_plane;
-  const int64_t out_item = cnhw_out ? out_hw : out_plane;
-  const int64_t col_plane =
-      algo == ConvAlgo::kIm2col && !direct ? in_c_ * opts_.ksize *
-                                                 opts_.ksize * out_hw
-                                           : 0;
-
-  // During training, keep the per-item im2col panels around so Backward's
-  // weight-gradient GEMM reuses them instead of recomputing (bounded by
-  // kColCacheMaxFloats; larger layers fall back to recompute).
-  cols_cached_ =
-      train && !direct && batch * col_plane <= kColCacheMaxFloats &&
-      col_plane > 0;
-  if (cols_cached_ && col_cache_.size() != batch * col_plane) {
-    col_cache_.Resize(Shape({batch, col_plane}));
-  }
-
-  // Inference networks run the GEMM from a pre-packed weight copy, and —
-  // once batch norm has been folded away — fuse the bias add and simple
-  // activations into the GEMM's C write-back. Leaky/ReLU fusion
-  // replicates the separate passes op for op, so outputs stay bitwise
-  // identical to the staged path (and to THALI_NO_PACK=1 runs); the
-  // mish epilogue (fused plans only) runs the same fast kernel the
-  // separate pass would, so packed and unpacked runs still agree.
-  const bool use_packed = inference() && GemmPackingEnabled();
-  if (algo == ConvAlgo::kWinograd ||
-      (algo == ConvAlgo::kQuantInt8 && opts_.stride == 1)) {
-    // FoldBatchNorm and weight loading invalidate the transformed (and
-    // quantized) weights too; re-derive lazily like the packed panels.
-    if (packed_dirty_ || u_.size() == 0 ||
-        (use_packed && wino_packed_.size() == 0) ||
-        (plan().conv_algo == ConvAlgo::kQuantInt8 && qweights_.empty())) {
-      PrepackWeights();
-    }
-  } else if (algo == ConvAlgo::kQuantInt8) {
-    // Strided quantized conv: no Winograd state; the packed fp32 panels
-    // back the im2col fallback.
-    if (packed_dirty_ || qweights_.empty() ||
-        (use_packed && packed_weights_.size() == 0)) {
-      PrepackWeights();
-    }
-  } else if (use_packed && (packed_dirty_ || packed_weights_.size() == 0)) {
+  THALI_CHECK_EQ(kernel_.batch, in_shape_.dim(0))
+      << "conv " << index() << ": kernel resolved for another batch";
+  if (inference() && packed_dirty_) {
+    // Weight loading re-packs lazily, once, on the next forward.
     PrepackWeights();
+    ResolveKernel();
   }
-  GemmEpilogue epilogue;
-  bool fused_bias = false;
-  bool fused_act = false;
-  if (use_packed && algo != ConvAlgo::kWinograd &&
-      algo != ConvAlgo::kQuantInt8 && !opts_.batch_normalize) {
-    epilogue.bias = biases_.data();
-    fused_bias = true;
-    switch (opts_.activation) {
-      case Activation::kLinear:
-        fused_act = true;  // nothing to apply
-        break;
-      case Activation::kLeaky:
-        epilogue.activation = GemmActivation::kLeaky;
-        fused_act = true;
-        break;
-      case Activation::kRelu:
-        epilogue.activation = GemmActivation::kRelu;
-        fused_act = true;
-        break;
-      case Activation::kMish:
-        if (plan().fast_act) {
-          epilogue.activation = GemmActivation::kMish;
-          fused_act = true;
-        }
-        break;
-      default:
-        break;  // logistic keeps its separate activation pass
-    }
-  }
-
   // Inference layers keep no pre-BN cache: the GEMM lands in output_
   // and BN normalizes it in place (elementwise, so bitwise identical to
   // the staged path).
-  Tensor& raw =
-      opts_.batch_normalize && !inference() ? conv_out_ : output_;
-
-  if (algo == ConvAlgo::kQuantInt8 ||
-      algo == ConvAlgo::kQuantInt8Direct1x1) {
-    // Quantized path: the u8 activation columns come either from the
-    // chained producer's buffer (plan().in_dtype == kU8 — quantize-once)
-    // or from quantizing the fp32 input planes here; then pack,
-    // exact-integer GEMM, and the shared requantize epilogue fuses bias
-    // and leaky/relu. When plan().out_dtype == kU8 the epilogue also
-    // requantizes straight into this layer's u8 buffer (mish included,
-    // via the fast-math vector kernel); f32-out mish keeps its separate
-    // FastMishInPlace pass below so unchained values stay bitwise
-    // identical to the pre-chaining path.
-    const bool chained_in = plan().in_dtype == DType::kU8;
-    const bool u8_out = plan().out_dtype == DType::kU8;
-    Int8Epilogue epi;
-    epi.in_scale = chained_in ? plan().in_qscale : act_in_scale_;
-    epi.in_zp = chained_in ? plan().in_qzp : act_in_zp_;
-    epi.wscale = qweights_.scale.data();
-    epi.wcolsum = wcolsum_.data();
-    epi.bias = biases_.data();
-    fused_bias = true;
-    switch (opts_.activation) {
-      case Activation::kLinear:
-        fused_act = true;  // nothing to apply
-        break;
-      case Activation::kLeaky:
-        epi.activation = GemmActivation::kLeaky;
-        fused_act = true;
-        break;
-      case Activation::kRelu:
-        epi.activation = GemmActivation::kRelu;
-        fused_act = true;
-        break;
-      case Activation::kMish:
-        if (u8_out) {
-          epi.activation = GemmActivation::kMish;
-          fused_act = true;
-        }
-        break;
-      default:
-        break;
-    }
-    if (u8_out) {
-      THALI_CHECK(fused_act)
-          << "conv " << index() << ": u8-out plan with unfusable activation";
-      epi.out_inv_scale = 1.0f / plan().out_qscale;
-      epi.out_zp = plan().out_qzp;
-    }
-    // A chained layer 0 reads the quantized NETWORK INPUT (filled by
-    // Network::Forward or staged by the detector's fused
-    // letterbox-quantize); every other chained conv reads its producer's
-    // u8 activation block.
-    const uint8_t* qsrc =
-        !chained_in ? nullptr
-                    : (index() == 0 ? net.quant_input()
-                                    : net.quant_act(index() - 1));
-    uint8_t* qdst = u8_out ? net.quant_act(index()) : nullptr;
-    THALI_CHECK(int8_ws_.valid) << "conv " << index()
-                                << ": int8 sections not planned";
-    THALI_CHECK(!chained_in || qsrc != nullptr);
-    THALI_CHECK(!u8_out || qdst != nullptr);
-    const int64_t ws_floats = int8_ws_.ws_floats;
-    const float inv_scale = 1.0f / act_in_scale_;
-    const int8_t* qw = qweights_.q.data<int8_t>();
-    if (algo == ConvAlgo::kQuantInt8) {
-      THALI_CHECK(int8_ws_.gemm_n == n);
-      const uint8_t in_zp_byte =
-          static_cast<uint8_t>(chained_in ? plan().in_qzp : act_in_zp_);
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int tid) {
-            // Byte sections inside the float workspace, precomputed by
-            // OnPlanUpdated to match Int8ConvWorkspaceBytes.
-            uint8_t* wsb =
-                reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
-            uint8_t* qin = wsb + int8_ws_.qin;
-            uint8_t* col = wsb + int8_ws_.col;
-            uint8_t* packed = wsb + int8_ws_.packed;
-            int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-            for (int64_t b = b0; b < b1; ++b) {
-              const uint8_t* qim;
-              int64_t qim_stride;
-              if (chained_in) {
-                // The producer already wrote this layer's input domain;
-                // im2col gathers straight from its u8 planes (border
-                // pad = the shared zero point, exact x = 0).
-                qim = qsrc + b * in_item;
-                qim_stride = in_chan_stride;
-              } else {
-                const float* in = input.data() + b * in_item;
-                for (int64_t c = 0; c < in_c_; ++c) {
-                  Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
-                                          inv_scale, act_in_zp_,
-                                          qin + c * in_hw);
-                }
-                qim = qin;
-                qim_stride = in_hw;
-              }
-              Im2ColStridedU8(qim, qim_stride, in_c_, in_shape_.dim(2),
-                              in_shape_.dim(3), opts_.ksize, opts_.stride,
-                              opts_.pad, in_zp_byte, col);
-              Int8PackActCols(col, k, n, packed);
-              Int8Epilogue e = epi;
-              float* cmat = nullptr;
-              if (u8_out) {
-                e.out_u8 = qdst + b * out_item;
-              } else {
-                cmat = raw.data() + b * out_item;
-              }
-              Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
-                                out_chan_stride, acc);
-            }
-          });
-    } else if (int8_ws_.whole_batch) {
-      // 1x1, blocked layout on both sides: the whole batch is one GEMM
-      // over the [C, batch*HW] block (no im2col — the channel planes
-      // already form the col matrix). Runs inline; the GEMM itself
-      // row-parallelizes across the pool.
-      const int64_t nb = batch * n;
-      THALI_CHECK(int8_ws_.gemm_n == nb);
-      uint8_t* wsb = reinterpret_cast<uint8_t*>(net.workspace(0, ws_floats));
-      uint8_t* packed = wsb + int8_ws_.packed;
-      int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-      const uint8_t* qcols;
-      if (chained_in) {
-        qcols = qsrc;
-      } else {
-        uint8_t* qin = wsb + int8_ws_.qin;
-        Int8QuantizeActivations(input.data(), k * nb, inv_scale, act_in_zp_,
-                                qin);
-        qcols = qin;
-      }
-      Int8PackActCols(qcols, k, nb, packed);
-      Int8Epilogue e = epi;
-      float* cmat = nullptr;
-      if (u8_out) {
-        e.out_u8 = qdst;
-      } else {
-        cmat = raw.data();
-      }
-      Int8GemmPrepacked(m, nb, k, qw, packed, e, cmat, batch * out_hw, acc);
-    } else {
-      // 1x1, mixed or NCHW layouts: one GEMM per item, packing the u8
-      // columns straight from the (possibly strided) channel planes.
-      THALI_CHECK(int8_ws_.gemm_n == n);
-      ParallelForBounded(
-          0, batch, 1, net.workspace_slots(),
-          [&](int64_t b0, int64_t b1, int tid) {
-            uint8_t* wsb =
-                reinterpret_cast<uint8_t*>(net.workspace(tid, ws_floats));
-            uint8_t* qin = wsb + int8_ws_.qin;
-            uint8_t* packed = wsb + int8_ws_.packed;
-            int32_t* acc = reinterpret_cast<int32_t*>(wsb + int8_ws_.acc);
-            for (int64_t b = b0; b < b1; ++b) {
-              if (chained_in) {
-                Int8PackActColsStrided(qsrc + b * in_item, in_chan_stride, k,
-                                       n, packed);
-              } else {
-                const float* in = input.data() + b * in_item;
-                if (cnhw_in) {
-                  for (int64_t c = 0; c < in_c_; ++c) {
-                    Int8QuantizeActivations(in + c * in_chan_stride, in_hw,
-                                            inv_scale, act_in_zp_,
-                                            qin + c * in_hw);
-                  }
-                } else {
-                  // NCHW item: the k*HW block is contiguous.
-                  Int8QuantizeActivations(in, k * in_hw, inv_scale,
-                                          act_in_zp_, qin);
-                }
-                Int8PackActCols(qin, k, n, packed);
-              }
-              Int8Epilogue e = epi;
-              float* cmat = nullptr;
-              if (u8_out) {
-                e.out_u8 = qdst + b * out_item;
-              } else {
-                cmat = raw.data() + b * out_item;
-              }
-              Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
-                                out_chan_stride, acc);
-            }
-          });
-    }
-    if (u8_out) return;  // bias + activation fused; no fp32 output exists
-  } else if (algo == ConvAlgo::kWinograd) {
-    // Per-item Winograd; at batch 1 the single chunk runs inline so the
-    // 16 transform-domain GEMMs fan out across the pool instead. Bias
-    // and activation stay separate passes (no GEMM C traversal to fuse
-    // into spans the whole output).
-    const int64_t wino_ws = WinogradWorkspaceFloats(
-        in_c_, opts_.filters, in_shape_.dim(2), in_shape_.dim(3));
-    const float* u_packed = use_packed ? wino_packed_.data() : nullptr;
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int tid) {
-          float* ws = net.workspace(tid, wino_ws);
-          for (int64_t b = b0; b < b1; ++b) {
-            WinogradForward(input.data() + b * in_item, in_chan_stride,
-                            in_c_, in_shape_.dim(2), in_shape_.dim(3),
-                            u_.data(), u_packed, opts_.filters,
-                            raw.data() + b * out_item, out_chan_stride, ws);
-          }
-        });
-  } else if (algo == ConvAlgo::kDirect1x1 && cnhw_in && cnhw_out) {
-    // Blocked layout on both sides: the whole batch is one GEMM over
-    // the [C, batch*HW] input block — identical per-element accumulation
-    // chains to the per-item GEMMs, just wider.
-    if (use_packed) {
-      GemmPrepacked(m, batch * n, k, packed_weights_.data(), /*tb=*/false,
-                    input.data(), batch * in_hw, 0.0f, raw.data(),
-                    batch * out_hw, fused_bias ? &epilogue : nullptr);
-    } else {
-      Gemm(false, false, m, batch * n, k, 1.0f, weights_.data(), k,
-           input.data(), batch * in_hw, 0.0f, raw.data(), batch * out_hw);
-    }
-  } else if (algo == ConvAlgo::kDirect1x1) {
-    // Mixed or NCHW layouts: one strided GEMM per item, no im2col.
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int) {
-          for (int64_t b = b0; b < b1; ++b) {
-            const float* bmat = input.data() + b * in_item;
-            float* cmat = raw.data() + b * out_item;
-            if (use_packed) {
-              GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                            bmat, in_chan_stride, 0.0f, cmat,
-                            out_chan_stride, fused_bias ? &epilogue : nullptr);
-            } else {
-              Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, bmat,
-                   in_chan_stride, 0.0f, cmat, out_chan_stride);
-            }
-          }
-        });
-  } else {
-    // Reference im2col path. Batch items are independent: each strand
-    // owns disjoint output planes and its own im2col scratch.
-    ParallelForBounded(
-        0, batch, 1, net.workspace_slots(),
-        [&](int64_t b0, int64_t b1, int tid) {
-          float* ws = nullptr;
-          if (!direct && !cols_cached_) ws = net.workspace(tid, col_plane);
-          for (int64_t b = b0; b < b1; ++b) {
-            float* dst = cols_cached_ ? col_cache_.data() + b * col_plane : ws;
-            const float* col =
-                PrepareCol(input.data() + b * in_item, in_chan_stride, dst);
-            if (use_packed) {
-              GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false,
-                            col, n, 0.0f, raw.data() + b * out_item,
-                            out_chan_stride, fused_bias ? &epilogue : nullptr);
-            } else {
-              Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, col, n,
-                   0.0f, raw.data() + b * out_item, out_chan_stride);
-            }
-          }
-        });
+  float* raw =
+      (opts_.batch_normalize && !inference() ? conv_out_ : output_).data();
+  switch (plan().conv_algo) {
+    case ConvAlgo::kIm2col:
+      ForwardIm2col(input, net, train, raw);
+      break;
+    case ConvAlgo::kDirect1x1:
+      ForwardDirect1x1(input, net, raw);
+      break;
+    case ConvAlgo::kWinograd:
+      ForwardWinograd(input, net, raw);
+      break;
+    case ConvAlgo::kQuantInt8:
+      ForwardInt8Im2col(input, net, raw);
+      break;
+    case ConvAlgo::kQuantInt8Direct1x1:
+      ForwardInt8Direct1x1(input, net, raw);
+      break;
   }
+  if (kernel_.u8_out) return;  // bias + activation fused; no fp32 output
 
+  const int64_t batch = kernel_.batch;
+  const int64_t spatial = out_h_ * out_w_;
   if (opts_.batch_normalize) {
     BatchNormForward(train);
-  } else if (!fused_bias) {
+  } else if (!kernel_.fused_bias) {
     // Plain bias add; (batch, filter) planes are independent. The plane
     // index maps to a filter as pl % F in NCHW and pl / batch in CNHW.
-    const int64_t spatial = out_hw;
     ParallelFor(0, batch * opts_.filters,
                 std::max<int64_t>(1, kBnGrainElems / std::max<int64_t>(
                                                          1, spatial)),
                 [&](int64_t p0, int64_t p1, int) {
                   for (int64_t pl = p0; pl < p1; ++pl) {
                     float* p = output_.data() + pl * spatial;
-                    const float bias =
-                        biases_[cnhw_out ? pl / batch : pl % opts_.filters];
+                    const float bias = biases_[kernel_.cnhw_out
+                                                   ? pl / batch
+                                                   : pl % opts_.filters];
                     for (int64_t i = 0; i < spatial; ++i) p[i] += bias;
                   }
                 });
@@ -678,22 +358,7 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
   // only), then activate. The activation is elementwise, so it needs no
   // layout awareness; fused plans route mish through the fast kernel
   // family (deterministic and identical across the scalar/AVX2 paths).
-  if (inference()) {
-    if (!fused_act) {
-      if (plan().fast_act && opts_.activation == Activation::kMish) {
-        ParallelFor(0, output_.size(), kBnGrainElems,
-                    [&](int64_t i0, int64_t i1, int) {
-                      FastMishInPlace(output_.data() + i0, i1 - i0);
-                    });
-      } else {
-        ParallelFor(0, output_.size(), kBnGrainElems,
-                    [&](int64_t i0, int64_t i1, int) {
-                      ApplyActivation(opts_.activation, output_.data() + i0,
-                                      i1 - i0);
-                    });
-      }
-    }
-  } else {
+  if (!inference()) {
     ParallelFor(0, output_.size(), kBnGrainElems,
                 [&](int64_t i0, int64_t i1, int) {
                   std::copy(output_.data() + i0, output_.data() + i1,
@@ -701,7 +366,253 @@ void ConvLayer::Forward(const Tensor& input, Network& net, bool train) {
                   ApplyActivation(opts_.activation, output_.data() + i0,
                                   i1 - i0);
                 });
+    return;
   }
+  switch (kernel_.act_pass) {
+    case ActPass::kNone:
+      break;
+    case ActPass::kFastMish:
+      ParallelFor(0, output_.size(), kBnGrainElems,
+                  [&](int64_t i0, int64_t i1, int) {
+                    FastMishInPlace(output_.data() + i0, i1 - i0);
+                  });
+      break;
+    case ActPass::kReference:
+      ParallelFor(0, output_.size(), kBnGrainElems,
+                  [&](int64_t i0, int64_t i1, int) {
+                    ApplyActivation(opts_.activation, output_.data() + i0,
+                                    i1 - i0);
+                  });
+      break;
+  }
+}
+
+void ConvLayer::ForwardIm2col(const Tensor& input, Network& net, bool train,
+                              float* raw) {
+  const int64_t batch = kernel_.batch;
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const int64_t n = out_h_ * out_w_;
+  const int64_t col_plane = kernel_.ws_floats;  // 0 for the direct 1x1
+  // During training, keep the per-item im2col panels around so Backward's
+  // weight-gradient GEMM reuses them instead of recomputing (bounded by
+  // kColCacheMaxFloats; larger layers fall back to recompute).
+  cols_cached_ =
+      train && col_plane > 0 && batch * col_plane <= kColCacheMaxFloats;
+  if (cols_cached_ && col_cache_.size() != batch * col_plane) {
+    col_cache_.Resize(Shape({batch, col_plane}));
+  }
+  const GemmEpilogue* epilogue = kernel_.fused_bias ? &kernel_.gemm : nullptr;
+  // Batch items are independent: each strand owns disjoint output
+  // planes and its own im2col scratch. Inference runs the GEMM from the
+  // packed weight copy; training packs weights_ per call.
+  ParallelForBounded(
+      0, batch, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        float* ws = nullptr;
+        if (col_plane > 0 && !cols_cached_) ws = net.workspace(tid, col_plane);
+        for (int64_t b = b0; b < b1; ++b) {
+          float* dst = cols_cached_ ? col_cache_.data() + b * col_plane : ws;
+          const float* col = PrepareCol(input.data() + b * kernel_.in_item,
+                                        kernel_.in_chan_stride, dst);
+          float* cmat = raw + b * kernel_.out_item;
+          if (inference()) {
+            GemmPrepacked(m, n, k, packed_weights_.data(), /*tb=*/false, col,
+                          n, 0.0f, cmat, kernel_.out_chan_stride, epilogue);
+          } else {
+            Gemm(false, false, m, n, k, 1.0f, weights_.data(), k, col, n,
+                 0.0f, cmat, kernel_.out_chan_stride);
+          }
+        }
+      });
+}
+
+void ConvLayer::ForwardDirect1x1(const Tensor& input, Network& net,
+                                 float* raw) {
+  const int64_t m = opts_.filters;
+  const int64_t n = out_h_ * out_w_;
+  const GemmEpilogue* epilogue = kernel_.fused_bias ? &kernel_.gemm : nullptr;
+  if (kernel_.whole_batch) {
+    // Blocked layout on both sides: the whole batch is one GEMM over the
+    // [C, batch*HW] input block — identical per-element accumulation
+    // chains to the per-item GEMMs, just wider.
+    GemmPrepacked(m, kernel_.batch * n, in_c_, packed_weights_.data(),
+                  /*tb=*/false, input.data(), kernel_.in_chan_stride, 0.0f,
+                  raw, kernel_.out_chan_stride, epilogue);
+    return;
+  }
+  // Mixed or NCHW layouts: one strided GEMM per item, no im2col.
+  ParallelForBounded(0, kernel_.batch, 1, net.workspace_slots(),
+                     [&](int64_t b0, int64_t b1, int) {
+                       for (int64_t b = b0; b < b1; ++b) {
+                         GemmPrepacked(
+                             m, n, in_c_, packed_weights_.data(),
+                             /*tb=*/false,
+                             input.data() + b * kernel_.in_item,
+                             kernel_.in_chan_stride, 0.0f,
+                             raw + b * kernel_.out_item,
+                             kernel_.out_chan_stride, epilogue);
+                       }
+                     });
+}
+
+void ConvLayer::ForwardWinograd(const Tensor& input, Network& net,
+                                float* raw) {
+  // Per-item Winograd; at batch 1 the single chunk runs inline so the 16
+  // transform-domain GEMMs fan out across the pool instead.
+  ParallelForBounded(
+      0, kernel_.batch, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        float* ws = net.workspace(tid, kernel_.ws_floats);
+        for (int64_t b = b0; b < b1; ++b) {
+          WinogradForward(input.data() + b * kernel_.in_item,
+                          kernel_.in_chan_stride, in_c_, in_shape_.dim(2),
+                          in_shape_.dim(3), wino_packed_.data(),
+                          opts_.filters, raw + b * kernel_.out_item,
+                          kernel_.out_chan_stride, ws);
+        }
+      });
+}
+
+void ConvLayer::CheckInt8Armed() const {
+  THALI_CHECK(has_act_range_ && !opts_.batch_normalize)
+      << "conv " << index()
+      << ": int8 plan over an unarmed layer — ReplanInference was skipped "
+         "after a calibration or batch-norm change";
+}
+
+const uint8_t* ConvLayer::ChainedInput(Network& net) const {
+  if (!kernel_.chained_in) return nullptr;
+  // A chained layer 0 reads the quantized NETWORK INPUT (filled by
+  // Network::Forward or staged by the detector's fused
+  // letterbox-quantize); every other chained conv reads its producer's
+  // u8 activation block.
+  const uint8_t* src =
+      index() == 0 ? net.quant_input() : net.quant_act(index() - 1);
+  THALI_CHECK(src != nullptr);
+  return src;
+}
+
+void ConvLayer::QuantizeItem(const float* in, uint8_t* qin) const {
+  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
+  for (int64_t c = 0; c < in_c_; ++c) {
+    Int8QuantizeActivations(in + c * kernel_.in_chan_stride, in_hw,
+                            kernel_.quant_inv_scale, act_in_zp_,
+                            qin + c * in_hw);
+  }
+}
+
+void ConvLayer::ForwardInt8Im2col(const Tensor& input, Network& net,
+                                  float* raw) {
+  CheckInt8Armed();
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_ * opts_.ksize * opts_.ksize;
+  const int64_t n = out_h_ * out_w_;
+  const int64_t in_hw = in_shape_.dim(2) * in_shape_.dim(3);
+  const uint8_t* qsrc = ChainedInput(net);
+  uint8_t* qdst = kernel_.u8_out ? net.quant_act(index()) : nullptr;
+  THALI_CHECK(!kernel_.u8_out || qdst != nullptr);
+  const int8_t* qw = qweights_.q.data<int8_t>();
+  ParallelForBounded(
+      0, kernel_.batch, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        uint8_t* wsb = reinterpret_cast<uint8_t*>(
+            net.workspace(tid, kernel_.ws_floats));
+        uint8_t* qin = wsb;
+        uint8_t* col = wsb + kernel_.col;
+        uint8_t* packed = wsb + kernel_.packed;
+        int32_t* acc = reinterpret_cast<int32_t*>(wsb + kernel_.acc);
+        for (int64_t b = b0; b < b1; ++b) {
+          // A chained input is already in this layer's domain; im2col
+          // gathers straight from the producer's u8 planes (border pad =
+          // the shared zero point, exact x = 0).
+          const uint8_t* qim = qin;
+          int64_t qim_stride = in_hw;
+          if (qsrc != nullptr) {
+            qim = qsrc + b * kernel_.in_item;
+            qim_stride = kernel_.in_chan_stride;
+          } else {
+            QuantizeItem(input.data() + b * kernel_.in_item, qin);
+          }
+          Im2ColStridedU8(qim, qim_stride, in_c_, in_shape_.dim(2),
+                          in_shape_.dim(3), opts_.ksize, opts_.stride,
+                          opts_.pad, kernel_.in_zp_byte, col);
+          Int8PackActCols(col, k, n, packed);
+          Int8Epilogue e = kernel_.int8;
+          float* cmat = nullptr;
+          if (qdst != nullptr) {
+            e.out_u8 = qdst + b * kernel_.out_item;
+          } else {
+            cmat = raw + b * kernel_.out_item;
+          }
+          Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
+                            kernel_.out_chan_stride, acc);
+        }
+      });
+}
+
+void ConvLayer::ForwardInt8Direct1x1(const Tensor& input, Network& net,
+                                     float* raw) {
+  CheckInt8Armed();
+  const int64_t m = opts_.filters;
+  const int64_t k = in_c_;
+  const int64_t n = out_h_ * out_w_;
+  const uint8_t* qsrc = ChainedInput(net);
+  uint8_t* qdst = kernel_.u8_out ? net.quant_act(index()) : nullptr;
+  THALI_CHECK(!kernel_.u8_out || qdst != nullptr);
+  const int8_t* qw = qweights_.q.data<int8_t>();
+  if (kernel_.whole_batch) {
+    // Blocked layout on both sides: the whole batch is one GEMM over the
+    // [C, batch*HW] block (the channel planes already form the col
+    // matrix). Runs inline; the GEMM itself row-parallelizes.
+    const int64_t nb = kernel_.batch * n;
+    uint8_t* wsb =
+        reinterpret_cast<uint8_t*>(net.workspace(0, kernel_.ws_floats));
+    uint8_t* packed = wsb + kernel_.packed;
+    int32_t* acc = reinterpret_cast<int32_t*>(wsb + kernel_.acc);
+    const uint8_t* qcols = qsrc;
+    if (qcols == nullptr) {
+      uint8_t* qin = wsb;
+      Int8QuantizeActivations(input.data(), k * nb, kernel_.quant_inv_scale,
+                              act_in_zp_, qin);
+      qcols = qin;
+    }
+    Int8PackActCols(qcols, k, nb, packed);
+    Int8Epilogue e = kernel_.int8;
+    e.out_u8 = qdst;
+    Int8GemmPrepacked(m, nb, k, qw, packed, e, qdst != nullptr ? nullptr : raw,
+                      kernel_.out_chan_stride, acc);
+    return;
+  }
+  // Mixed or NCHW layouts: one GEMM per item, packing the u8 columns
+  // straight from the (possibly strided) channel planes.
+  ParallelForBounded(
+      0, kernel_.batch, 1, net.workspace_slots(),
+      [&](int64_t b0, int64_t b1, int tid) {
+        uint8_t* wsb = reinterpret_cast<uint8_t*>(
+            net.workspace(tid, kernel_.ws_floats));
+        uint8_t* qin = wsb;
+        uint8_t* packed = wsb + kernel_.packed;
+        int32_t* acc = reinterpret_cast<int32_t*>(wsb + kernel_.acc);
+        for (int64_t b = b0; b < b1; ++b) {
+          if (qsrc != nullptr) {
+            Int8PackActColsStrided(qsrc + b * kernel_.in_item,
+                                   kernel_.in_chan_stride, k, n, packed);
+          } else {
+            QuantizeItem(input.data() + b * kernel_.in_item, qin);
+            Int8PackActCols(qin, k, n, packed);
+          }
+          Int8Epilogue e = kernel_.int8;
+          float* cmat = nullptr;
+          if (qdst != nullptr) {
+            e.out_u8 = qdst + b * kernel_.out_item;
+          } else {
+            cmat = raw + b * kernel_.out_item;
+          }
+          Int8GemmPrepacked(m, n, k, qw, packed, e, cmat,
+                            kernel_.out_chan_stride, acc);
+        }
+      });
 }
 
 void ConvLayer::BatchNormForward(bool train) {
@@ -755,7 +666,7 @@ void ConvLayer::BatchNormForward(bool train) {
   // unchanged, so both paths produce bitwise identical activations.
   // Under a CNHW plan (inference only) plane pl belongs to filter
   // pl / batch instead of pl % filters.
-  const bool cnhw = inference() && plan().out_layout == ActLayout::kCNHW;
+  const bool cnhw = kernel_.cnhw_out;
   const float* src_base = inference() ? output_.data() : conv_out_.data();
   float* xn_base = inference() ? nullptr : x_norm_.data();
   ParallelFor(
@@ -1033,6 +944,7 @@ void ConvLayer::FoldBatchNorm() {
   }
   opts_.batch_normalize = false;
   packed_dirty_ = true;
+  ResolveKernel();  // the bias (and activation) may now fuse
   scales_ = Tensor();
   scale_grads_ = Tensor();
   rolling_mean_ = Tensor();

@@ -12,7 +12,6 @@
 #include "nn/network.h"
 #include "nn/route_layer.h"
 #include "nn/shortcut_layer.h"
-#include "tensor/gemm.h"
 #include "tensor/gemm_int8.h"
 
 namespace thali {
@@ -295,34 +294,43 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
       }
     }
 
-    // 2. Conv algorithm and fast-activation selection by geometry.
+    // 2. Conv algorithm and fast-activation selection by geometry. An
+    // int8 candidate resolves to its quantized algorithm only once it
+    // is armed (batch norm folded, input range calibrated); until then
+    // it runs the fp32 algorithm of its geometry.
     for (int i = 0; i < n; ++i) {
       if (cls[static_cast<size_t>(i)] != kConv) continue;
       LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
-      const auto& o = static_cast<const ConvLayer&>(net.layer(i)).options();
+      const auto& cv = static_cast<const ConvLayer&>(net.layer(i));
+      const auto& o = cv.options();
+      const bool pinned = forced[static_cast<size_t>(i)];
+      ConvAlgo quant = ConvAlgo::kQuantInt8;
       if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
         // int8 takes 1x1s regardless of layout pins — like kDirect1x1,
         // the quantized GEMM absorbs layouts through strides, so even
         // the NCHW-pinned head feeders quantize (their f32 output is a
         // dequant edge into the yolo heads).
-        lp.conv_algo =
-            int8 ? ConvAlgo::kQuantInt8Direct1x1 : ConvAlgo::kDirect1x1;
+        lp.conv_algo = ConvAlgo::kDirect1x1;
+        lp.int8_candidate = int8;
+        quant = ConvAlgo::kQuantInt8Direct1x1;
       } else if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
         // int8 takes the Winograd geometry, but NCHW-pinned convs stay
         // fp32 to protect whatever consumer forced the pin (in the
         // thali net the head feeders are 1x1 direct convs, already
         // fp32; the guard covers pinned 3x3s in other topologies).
-        lp.conv_algo = int8 && !forced[static_cast<size_t>(i)]
-                           ? ConvAlgo::kQuantInt8
-                           : ConvAlgo::kWinograd;
-      } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1 && int8 &&
-                 !forced[static_cast<size_t>(i)]) {
+        lp.conv_algo = ConvAlgo::kWinograd;
+        lp.int8_candidate = int8 && !pinned;
+      } else {
         // Strided 3x3 (the thali downsampling prefix, convs 0-1): no
         // Winograd form exists, but the u8 im2col already walks any
         // stride, so int8 takes it; fp32 plans stay on im2col.
-        lp.conv_algo = ConvAlgo::kQuantInt8;
-      } else {
         lp.conv_algo = ConvAlgo::kIm2col;
+        lp.int8_candidate =
+            int8 && !pinned && o.ksize == 3 && o.stride == 2 && o.pad == 1;
+      }
+      if (lp.int8_candidate && !o.batch_normalize &&
+          cv.has_activation_range()) {
+        lp.conv_algo = quant;
       }
       lp.fast_act = o.activation == Activation::kMish;
     }
@@ -412,16 +420,15 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
     // 4. Quantize-once dtype assignment. A u8 edge means the producer's
     // requantize epilogue emits 7-bit bytes in the edge domain and the
     // consumer skips quantize + pack-from-fp32. The pass only sees
-    // chains once calibration ranges exist: the Finalize-time compile is
-    // chain-free (nothing is calibrated yet) and
+    // chains once step 2 armed quantized convs: the Finalize-time
+    // compile is chain-free (nothing is calibrated yet) and
     // Network::ReplanInference recompiles after Detector::CalibrateInt8
     // or LoadCalibration installs ranges. Dropping ranges
-    // (ResetCalibration) must likewise replan, because a chained conv
+    // (ResetCalibration) must likewise replan, because a quantized conv
     // has no fp32 fallback.
-    if (int8 && GemmPackingEnabled()) {
-      // qconv: convs the runtime int8 gate will actually keep quantized
-      // (algo selected int8, range installed, batch norm folded).
-      // qprod: qconv whose activation the requantize epilogue can apply
+    if (int8) {
+      // qconv: convs step 2 resolved to a quantized algorithm. qprod:
+      // qconv whose activation the requantize epilogue can apply
       // (linear/leaky/relu, mish through the FastMish family) so its
       // OUTPUT may be u8. qpass: layout-uniform passthroughs that move
       // u8 bytes exactly — max and concat/upsample copies commute with
@@ -434,16 +441,10 @@ ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
       for (int i = 0; i < n; ++i) {
         const LayerPlan& lp = plan.layers[static_cast<size_t>(i)];
         if (cls[static_cast<size_t>(i)] == kConv) {
-          if (lp.conv_algo != ConvAlgo::kQuantInt8 &&
-              lp.conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-            continue;
-          }
-          const auto& cv = static_cast<const ConvLayer&>(net.layer(i));
-          if (cv.options().batch_normalize || !cv.has_activation_range()) {
-            continue;
-          }
+          if (!IsInt8ConvAlgo(lp.conv_algo)) continue;
           qconv[static_cast<size_t>(i)] = 1;
-          const Activation a = cv.options().activation;
+          const Activation a =
+              static_cast<const ConvLayer&>(net.layer(i)).options().activation;
           qprod[static_cast<size_t>(i)] =
               a == Activation::kLinear || a == Activation::kLeaky ||
               a == Activation::kRelu ||

@@ -34,8 +34,10 @@ const char* ExecModeName(ExecMode mode);
 //  kHist  — conv layers accumulate an input histogram over the range
 //           found by a prior kRange pass (percentile calibration).
 //
-// While a calibration phase is active every conv runs its fp32 path, so
-// the observed statistics describe the unquantized network.
+// Network::Forward observes the input of every int8-candidate conv
+// (LayerPlan::int8_candidate) while a phase is active. Calibration runs
+// over a plan compiled without ranges, so every candidate executes its
+// fp32 algorithm and the statistics describe the unquantized network.
 enum class CalibPhase { kOff, kRange, kHist };
 
 // Memory layout of one layer's activation tensor.
@@ -53,7 +55,11 @@ enum class ActLayout { kNCHW, kCNHW };
 
 const char* ActLayoutName(ActLayout layout);
 
-// Which convolution algorithm a conv layer's Forward dispatches to.
+// Which convolution algorithm a conv layer's Forward dispatches to. The
+// plan compiler resolves it once per compile: conv_algo is exactly what
+// executes, and ConvLayer::Forward is one switch over it with no runtime
+// fallback. Changing anything the choice depends on (batch-norm folding,
+// calibration ranges) goes through Network::ReplanInference.
 //
 //  kIm2col    — the reference path (im2col + GEMM); always used by
 //               training networks and by THALI_NO_FUSE inference, and
@@ -70,18 +76,16 @@ const char* ActLayoutName(ActLayout layout);
 //               tolerance (see tensor/winograd.h).
 //  kQuantInt8 — per-channel symmetric int8 (tensor/gemm_int8.h) for
 //               3x3/pad-1 at stride 1 or 2 (the u8 im2col walks any
-//               stride), selected only when the network was finalized
-//               with THALI_INT8 enabled and the layer is not NCHW-pinned
-//               (detection-head feeders stay fp32). Forward falls back
-//               to kWinograd (stride 1) or kIm2col (stride 2) at runtime
-//               until the layer has a calibrated activation range.
+//               stride). Resolved only for an int8 candidate (see
+//               LayerPlan::int8_candidate) whose batch norm is folded
+//               and whose input range is calibrated; an unarmed
+//               candidate resolves to kWinograd (stride 1) or kIm2col
+//               (stride 2) instead.
 //  kQuantInt8Direct1x1 — int8 variant of kDirect1x1 (1x1/stride-1/
 //               pad-0): the quantized channel planes ARE the GEMM B
 //               matrix, so the path quantizes (or chains) and packs
-//               with no im2col at all. Selected under THALI_INT8
-//               regardless of layout pins (the GEMM absorbs layouts
-//               through strides like kDirect1x1 does). Forward falls
-//               back to kDirect1x1 until calibrated.
+//               with no im2col at all. Same arming rule; an unarmed
+//               candidate resolves to kDirect1x1.
 enum class ConvAlgo {
   kIm2col,
   kDirect1x1,
@@ -92,6 +96,11 @@ enum class ConvAlgo {
 
 const char* ConvAlgoName(ConvAlgo algo);
 
+// True for kQuantInt8 and kQuantInt8Direct1x1.
+inline bool IsInt8ConvAlgo(ConvAlgo algo) {
+  return algo == ConvAlgo::kQuantInt8 || algo == ConvAlgo::kQuantInt8Direct1x1;
+}
+
 // Per-layer decisions of the inference plan compiler. The default
 // constructed value (NCHW in/out, kIm2col, nothing fused, nothing
 // elided) reproduces the pre-compiler behaviour exactly and is what
@@ -101,6 +110,11 @@ struct LayerPlan {
   ActLayout in_layout = ActLayout::kNCHW;
   ActLayout out_layout = ActLayout::kNCHW;
   ConvAlgo conv_algo = ConvAlgo::kIm2col;
+  // The conv may run int8: THALI_INT8 latched, fused plan, int8
+  // geometry and (for 3x3s) no NCHW pin. Set whether or not the layer
+  // is armed yet — calibration observes exactly these layers, and
+  // conv_algo names the int8 algorithm once they are armed.
+  bool int8_candidate = false;
   // Route mish activations through the fast vectorized family
   // (tensor/act_kernels.h) instead of libm — fused plans only.
   bool fast_act = false;
@@ -231,7 +245,9 @@ struct ExecPlan {
 // a member's storage is one contiguous range. Requires every layer to
 // be configured (shapes known).
 // With int8=true (latched from THALI_INT8 by Network::Finalize), step 2
-// upgrades eligible Winograd-geometry convs to kQuantInt8.
+// marks int8 candidates and resolves the armed ones (folded batch norm,
+// calibrated range) to kQuantInt8 / kQuantInt8Direct1x1; step 4 then
+// chains u8 edges between them.
 ExecPlan CompileExecPlan(const Network& net, bool fuse, bool arena_enabled,
                          bool int8 = false);
 

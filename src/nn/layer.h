@@ -86,12 +86,6 @@ class Layer {
   // Scratch floats this layer needs from the shared network workspace.
   virtual int64_t WorkspaceSize() const { return 0; }
 
-  // Gives layers with GEMM weights a chance to pre-pack them into the
-  // microkernel panel layout (inference-mode networks call this from
-  // Network::Finalize; layers re-pack lazily after weight mutations).
-  // Default: nothing to pack.
-  virtual void PrepackWeights() {}
-
   // --- Dataflow hooks for the activation arena planner. Valid after
   // Configure (layer references resolved). ---
 
@@ -132,8 +126,8 @@ class Layer {
 
   // Called by Network::PlanBuffers after every layer's plan has been
   // (re)pushed — at Finalize, SetBatch and ReplanInference. Layers that
-  // derive per-forward state from the plan (the conv int8 workspace
-  // sections) recompute it here instead of on every Forward.
+  // derive per-forward state from the plan (the conv's packed weights
+  // and resolved kernel) recompute it here instead of on every Forward.
   virtual void OnPlanUpdated() {}
 
   // When frozen, the optimizer skips this layer's parameters (transfer

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <string_view>
 
 #include "base/logging.h"
 #include "base/thread_pool.h"
+#include "nn/conv_layer.h"
 #include "tensor/gemm_int8.h"
 
 namespace thali {
@@ -59,11 +61,6 @@ Status Network::Finalize(ExecMode mode) {
   workspace_floats_ = max_ws;
   workspaces_.resize(static_cast<size_t>(MaxParallelism()));
   for (Tensor& ws : workspaces_) ws.Resize(Shape({max_ws}));
-  if (mode_ == ExecMode::kInference) {
-    // Pack GEMM weights into microkernel panel layout up front. Layers
-    // re-pack lazily if weights change afterwards (loading, BN folding).
-    for (auto& layer : layers_) layer->PrepackWeights();
-  }
   finalized_ = true;
   return Status::OK();
 }
@@ -112,6 +109,15 @@ Status Network::ReplanInference() {
   return Status::OK();
 }
 
+Status Network::FoldBatchNorm() {
+  for (auto& layer : layers_) {
+    if (std::string_view(layer->kind()) == "convolutional") {
+      static_cast<ConvLayer&>(*layer).FoldBatchNorm();
+    }
+  }
+  return ReplanInference();
+}
+
 void Network::PlanBuffers() {
   const bool fuse = mode_ == ExecMode::kInference && !fuse_disabled_;
   const bool use_arena = mode_ == ExecMode::kInference && !arena_disabled_;
@@ -149,8 +155,8 @@ void Network::PlanBuffers() {
     qinput_.Clear();
   }
   input_prequantized_ = false;
-  // Plan-derived layer state (conv int8 workspace sections) recomputes
-  // once here instead of per Forward.
+  // Plan-derived layer state (conv packed weights and resolved kernels)
+  // recomputes once here instead of per Forward.
   for (auto& layer : layers_) layer->OnPlanUpdated();
   if (mode_ != ExecMode::kInference) return;  // SetShapes owns the buffers
   if (use_arena) {
@@ -230,8 +236,16 @@ const Tensor& Network::Forward(const Tensor& input, bool train) {
     }
     input_prequantized_ = false;
   }
+  // Calibration observes the fp32 input of every int8 candidate, so it
+  // must run over a plan that resolved none of them to int8.
+  THALI_CHECK(calib_phase_ == CalibPhase::kOff || eplan_.quantized_layers == 0)
+      << "calibration forward over an int8 plan: ResetCalibration and "
+         "ReplanInference first";
   const Tensor* x = &input;
   for (auto& layer : layers_) {
+    if (calib_phase_ != CalibPhase::kOff && layer->plan().int8_candidate) {
+      static_cast<ConvLayer&>(*layer).ObserveCalibration(*x, calib_phase_);
+    }
     layer->Forward(*x, *this, train);
     x = &layer->output();
   }

@@ -48,14 +48,21 @@ class Network {
   Status SetBatch(int batch);
 
   // Recompiles the execution plan of a finalized inference network
-  // without touching shapes. Quantize-once chaining depends on
-  // calibration state the plan compiler reads from the conv layers, so
+  // without touching shapes. Which algorithm each conv runs (int8 or
+  // fp32) and the quantize-once chains depend on calibration and
+  // batch-norm state the plan compiler reads from the conv layers, so
   // this must run after Detector::CalibrateInt8 / LoadCalibration
-  // install activation ranges (to pick the chains up) and after
-  // ResetCalibration drops them (a chained conv has no fp32 fallback).
-  // No-op outside THALI_INT8 inference. Grows workspaces if the fresh
-  // plan needs more scratch.
+  // install activation ranges (to arm int8), after ResetCalibration
+  // drops them (an int8 conv has no fp32 fallback) and after batch-norm
+  // folding (Network::FoldBatchNorm does). No-op for training networks.
+  // Grows workspaces if the fresh plan needs more scratch.
   Status ReplanInference();
+
+  // Folds batch norm into every conv's weights and biases (see
+  // ConvLayer::FoldBatchNorm), then replans so each conv's resolved
+  // kernel — fused epilogue, int8 arming — reflects the folded network.
+  // Irreversible; for inference networks and evaluation only.
+  Status FoldBatchNorm();
 
   // Runs all layers; returns the last layer's output. `input` must be
   // (batch, channels, height, width). With train=true, layers use batch
@@ -98,8 +105,9 @@ class Network {
   // When false the plan compiler never emits kQuantInt8.
   bool int8_enabled() const { return int8_enabled_; }
 
-  // Active calibration pass. Conv layers consult this in Forward: any
-  // phase other than kOff forces the fp32 path and records statistics.
+  // Active calibration pass. While it is not kOff, Forward feeds the
+  // input of every int8-candidate conv to its ObserveCalibration; the
+  // plan must not have resolved any conv to int8 (CHECKed).
   CalibPhase calib_phase() const { return calib_phase_; }
   void set_calib_phase(CalibPhase phase) { calib_phase_ = phase; }
 

@@ -155,6 +155,15 @@ StatusOr<std::future<Server::Result>> Server::Submit(
   ServerMetrics::PerClass& cls = metrics_.ForClass(submit.priority);
   cls.submitted.fetch_add(1, std::memory_order_relaxed);
 
+  // Detectors letterbox RGB planes only; any other channel count is the
+  // client's error, answered with a status rather than a worker abort.
+  if (image.channels() != 3) {
+    metrics_.rejected.fetch_add(1, std::memory_order_relaxed);
+    cls.rejected.fetch_add(1, std::memory_order_relaxed);
+    return Status::InvalidArgument(StrFormat(
+        "image has %d channels; detection needs 3 (RGB)", image.channels()));
+  }
+
   const ServeClock::time_point now = ServeClock::now();
   Status admitted = Admit(submit.priority, submit.deadline, now);
   if (!admitted.ok()) {

@@ -92,8 +92,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // Enqueues one detection request and returns its future. Fails fast with
-  // kResourceExhausted (queue full — the backpressure signal to shed or
-  // retry) or kFailedPrecondition (server shut down); on failure no future
+  // kInvalidArgument (not a 3-channel image), kResourceExhausted (queue
+  // full — the backpressure signal to shed or retry) or
+  // kFailedPrecondition (server shut down); on failure no future
   // exists and the request is dropped. The per-Options default deadline
   // applies; the overloads pin an explicit one.
   StatusOr<std::future<Result>> Submit(Image image);

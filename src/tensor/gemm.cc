@@ -1,8 +1,6 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 
 #include "base/logging.h"
 #include "base/thread_pool.h"
@@ -22,9 +20,6 @@ constexpr int64_t kGrainFlops = 1 << 15;
 constexpr int64_t kTilesPerMc = kGemmMC / kGemmMR;
 static_assert(kGemmMC % kGemmMR == 0, "MC must be a multiple of MR");
 static_assert(kGemmNC % kGemmNR == 0, "NC must be a multiple of NR");
-
-// Packed-path override: -1 = follow THALI_NO_PACK, 0 = off, 1 = on.
-std::atomic<int> g_packing_override{-1};
 
 void BetaPass(int64_t m0, int64_t m1, int64_t n, float beta, float* c,
               int64_t ldc) {
@@ -199,30 +194,6 @@ void PackedGemm(const GemmKernel& kernel, bool ta, bool tb, int64_t m,
   });
 }
 
-// The pre-packing escape hatch: unpacked reference kernels under the
-// seed's row-parallel decomposition. Same per-element chains as the
-// packed driver (same kernel family), so bitwise-identical output.
-void ReferenceGemm(const GemmKernel& kernel, bool ta, bool tb, int64_t m,
-                   int64_t n, int64_t k, float alpha, const float* a,
-                   int64_t lda, const float* b, int64_t ldb, float beta,
-                   float* c, int64_t ldc) {
-  const int64_t row_flops = std::max<int64_t>(1, n * std::max<int64_t>(1, k));
-  const int64_t grain = std::max<int64_t>(1, kGrainFlops / row_flops);
-  ParallelFor(0, m, grain, [&](int64_t m0, int64_t m1, int) {
-    BetaPass(m0, m1, n, beta, c, ldc);
-    if (k == 0 || alpha == 0.0f) return;
-    if (!ta && !tb) {
-      kernel.ref_nn(m0, m1, n, k, alpha, a, lda, b, ldb, c, ldc);
-    } else if (ta && !tb) {
-      kernel.ref_tn(m0, m1, n, k, alpha, a, lda, b, ldb, c, ldc);
-    } else if (!ta && tb) {
-      kernel.ref_nt(m0, m1, n, k, alpha, a, lda, b, ldb, c, ldc);
-    } else {
-      kernel.ref_tt(m0, m1, n, k, alpha, a, lda, b, ldb, c, ldc);
-    }
-  });
-}
-
 }  // namespace
 
 void Gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
@@ -235,14 +206,9 @@ void Gemm(bool ta, bool tb, int64_t m, int64_t n, int64_t k, float alpha,
   // Degenerate: no accumulation and beta leaves C untouched.
   if ((k == 0 || alpha == 0.0f) && beta == 1.0f) return;
 
-  const GemmKernel& kernel = SelectGemmKernel();
-  if (!GemmPackingEnabled()) {
-    ReferenceGemm(kernel, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c,
-                  ldc);
-    return;
-  }
-  PackedGemm(kernel, ta, tb, m, n, k, alpha, a, lda, /*prepacked_a=*/nullptr,
-             b, ldb, beta, c, ldc, /*epilogue=*/nullptr);
+  PackedGemm(SelectGemmKernel(), ta, tb, m, n, k, alpha, a, lda,
+             /*prepacked_a=*/nullptr, b, ldb, beta, c, ldc,
+             /*epilogue=*/nullptr);
 }
 
 void MatMulAccumulate(int64_t m, int64_t n, int64_t k, const float* a,
@@ -258,21 +224,12 @@ void GemmPackWeights(const float* a, int64_t m, int64_t k, float* packed) {
 void GemmPrepacked(int64_t m, int64_t n, int64_t k, const float* packed_a,
                    bool tb, const float* b, int64_t ldb, float beta, float* c,
                    int64_t ldc, const GemmEpilogue* epilogue) {
-  THALI_CHECK(GemmPackingEnabled());
   THALI_CHECK_GT(m, 0);
   THALI_CHECK_GT(n, 0);
   THALI_CHECK_GT(k, 0);
   PackedGemm(SelectGemmKernel(), /*ta=*/false, tb, m, n, k, /*alpha=*/1.0f,
              /*a=*/nullptr, /*lda=*/0, packed_a, b, ldb, beta, c, ldc,
              epilogue);
-}
-
-bool GemmPackingEnabled() {
-  const int override_value = g_packing_override.load(std::memory_order_acquire);
-  if (override_value >= 0) return override_value != 0;
-  static const bool env_disabled =
-      internal::NoPackEnvValueDisables(std::getenv("THALI_NO_PACK"));
-  return !env_disabled;
 }
 
 const char* GemmKernelName() { return SelectGemmKernel().name; }
@@ -295,16 +252,6 @@ void GemmReference(bool ta, bool tb, int64_t m, int64_t n, int64_t k,
   } else {
     kernel.ref_tt(0, m, n, k, alpha, a, lda, b, ldb, c, ldc);
   }
-}
-
-void SetGemmPackingForTesting(int enabled) {
-  g_packing_override.store(enabled < 0 ? -1 : (enabled != 0 ? 1 : 0),
-                           std::memory_order_release);
-}
-
-bool NoPackEnvValueDisables(const char* value) {
-  if (value == nullptr || value[0] == '\0') return false;
-  return !(value[0] == '0' && value[1] == '\0');
 }
 
 }  // namespace internal

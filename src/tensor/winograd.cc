@@ -79,9 +79,9 @@ int64_t WinogradWorkspaceFloats(int64_t channels, int64_t filters,
 }
 
 void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,
-                     int64_t height, int64_t width, const float* u,
-                     const float* u_packed, int64_t filters, float* out,
-                     int64_t out_chan_stride, float* ws) {
+                     int64_t height, int64_t width, const float* u_packed,
+                     int64_t filters, float* out, int64_t out_chan_stride,
+                     float* ws) {
   const int64_t th = TilesAlong(height);
   const int64_t tw = TilesAlong(width);
   const int64_t tiles = th * tw;
@@ -157,13 +157,8 @@ void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,
     for (int64_t k = k0; k < k1; ++k) {
       const float* vk = v + k * channels * tiles;
       float* mk = m + k * filters * tiles;
-      if (u_packed != nullptr) {
-        GemmPrepacked(filters, tiles, channels, u_packed + k * packed_stride,
-                      /*tb=*/false, vk, tiles, 0.0f, mk, tiles);
-      } else {
-        Gemm(false, false, filters, tiles, channels, 1.0f,
-             u + k * filters * channels, channels, vk, tiles, 0.0f, mk, tiles);
-      }
+      GemmPrepacked(filters, tiles, channels, u_packed + k * packed_stride,
+                    /*tb=*/false, vk, tiles, 0.0f, mk, tiles);
     }
   });
 

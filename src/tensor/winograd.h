@@ -14,14 +14,13 @@ namespace thali {
 //   1. input transform   V[16][C][T] = B^T d B per 4x4 input patch
 //      (tiles overlap by 2; T = ceil(H/2)*ceil(W/2) output tiles),
 //   2. 16 independent GEMMs  M_k[F][T] = U_k[F][C] * V_k[C][T], run
-//      through the packed GEMM driver (prepacked U panels when packing
-//      is enabled, the reference path under THALI_NO_PACK),
+//      through the packed GEMM driver from prepacked U panels,
 //   3. output transform  Y = A^T M A per tile, scattered to the output
 //      with edge clipping for odd spatial sizes.
 //
 // U = G w G^T is precomputed once per weight update (WinogradTransform-
-// Weights) and optionally prepacked into GEMM A panels, mirroring the
-// conv layer's GemmPackWeights flow.
+// Weights) and prepacked into GEMM A panels, mirroring the conv layer's
+// GemmPackWeights flow.
 //
 // Accuracy: Winograd is NOT bitwise identical to direct convolution —
 // the transforms re-associate the 3x3 dot products. F(2,3) with these
@@ -57,14 +56,13 @@ int64_t WinogradWorkspaceFloats(int64_t channels, int64_t filters,
 // One batch item: out = conv3x3_s1_p1(in, w) with channel strides
 // `in_chan_stride` / `out_chan_stride` between consecutive channel
 // planes (H*W for NCHW, batch*H*W for the CNHW blocked layout). Output
-// spatial size equals input spatial size. `u_packed` may be null, in
-// which case the plain Gemm entry point is used (THALI_NO_PACK). `ws`
-// must hold WinogradWorkspaceFloats(C, F, H, W) floats. Bias and
-// activation are the caller's separate passes.
+// spatial size equals input spatial size. `u_packed` holds the
+// WinogradPackWeights panels. `ws` must hold WinogradWorkspaceFloats(C,
+// F, H, W) floats. Bias and activation are the caller's separate passes.
 void WinogradForward(const float* in, int64_t in_chan_stride, int64_t channels,
-                     int64_t height, int64_t width, const float* u,
-                     const float* u_packed, int64_t filters, float* out,
-                     int64_t out_chan_stride, float* ws);
+                     int64_t height, int64_t width, const float* u_packed,
+                     int64_t filters, float* out, int64_t out_chan_stride,
+                     float* ws);
 
 }  // namespace thali
 

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "base/file_util.h"
 #include "base/rng.h"
 #include "base/string_util.h"
+#include "core/detector.h"
 #include "darknet/cfg.h"
 #include "darknet/model_zoo.h"
 #include "darknet/summary.h"
@@ -282,6 +284,37 @@ TEST_F(WeightsIoTest, TruncatedFileIsCorruption) {
   auto loaded = LoadWeights(*built->net, path_);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(WeightsIoTest, BatchNormFileIntoFoldedDetectorIsRejectedUnchanged) {
+  // A hot reload into a folded network (every int8 server folds) reads
+  // biases + weights per conv; a batch-norm file carries three more
+  // vectors per conv. The loader must refuse the file without touching
+  // a weight, so the detector keeps producing the same detections.
+  auto det = Detector::FromCfg(YoloThaliCfg(YoloThaliOptions{}), 3);
+  ASSERT_TRUE(det.ok());
+  ASSERT_TRUE(SaveWeights(det->network(), path_).ok());
+  det->FuseBatchNorm();
+  Image image(96, 96, 3);
+  Rng rng(12);
+  for (int i = 0; i < image.size(); ++i) image.data()[i] = rng.NextFloat();
+  const std::vector<Detection> before = det->Detect(image, 0.005f, 0.45f);
+  ASSERT_FALSE(before.empty());
+
+  auto loaded = LoadWeights(det->network(), path_);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+      << loaded.status().ToString();
+
+  const std::vector<Detection> after = det->Detect(image, 0.005f, 0.45f);
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].class_id, before[i].class_id);
+    EXPECT_EQ(after[i].confidence, before[i].confidence);  // bitwise
+    EXPECT_EQ(after[i].box.x, before[i].box.x);
+    EXPECT_EQ(after[i].box.y, before[i].box.y);
+    EXPECT_EQ(after[i].box.w, before[i].box.w);
+    EXPECT_EQ(after[i].box.h, before[i].box.h);
+  }
 }
 
 TEST_F(WeightsIoTest, HeaderOnlyFileLoadsZeroLayers) {

@@ -139,10 +139,20 @@ void DirectConv3x3(const float* in, int64_t c, int64_t h, int64_t w,
   }
 }
 
-void WinogradVsDirectCase(int64_t c, int64_t f, int64_t h, int64_t w,
-                          bool packed) {
-  Rng rng(static_cast<uint64_t>(c * 1000 + f * 100 + h * 10 + w +
-                                (packed ? 7 : 0)));
+// U = G w G^T for (F, C, 3, 3) weights, packed into GEMM A panels the
+// way the conv layer prepacks its Winograd weights.
+std::vector<float> PackedWinogradWeights(const std::vector<float>& weights,
+                                         int64_t f, int64_t c) {
+  std::vector<float> u(static_cast<size_t>(WinogradWeightFloats(f, c)));
+  WinogradTransformWeights(weights.data(), f, c, u.data());
+  std::vector<float> packed(
+      static_cast<size_t>(WinogradPackedWeightFloats(f, c)));
+  WinogradPackWeights(u.data(), f, c, packed.data());
+  return packed;
+}
+
+void WinogradVsDirectCase(int64_t c, int64_t f, int64_t h, int64_t w) {
+  Rng rng(static_cast<uint64_t>(c * 1000 + f * 100 + h * 10 + w + 7));
   std::vector<float> in(static_cast<size_t>(c * h * w));
   std::vector<float> weights(static_cast<size_t>(f * c * 9));
   for (auto& v : in) v = rng.NextFloat() * 2.0f - 1.0f;
@@ -151,38 +161,28 @@ void WinogradVsDirectCase(int64_t c, int64_t f, int64_t h, int64_t w,
   std::vector<float> ref(static_cast<size_t>(f * h * w));
   DirectConv3x3(in.data(), c, h, w, weights.data(), f, ref.data());
 
-  std::vector<float> u(static_cast<size_t>(WinogradWeightFloats(f, c)));
-  WinogradTransformWeights(weights.data(), f, c, u.data());
-  std::vector<float> u_packed;
-  if (packed) {
-    u_packed.resize(static_cast<size_t>(WinogradPackedWeightFloats(f, c)));
-    WinogradPackWeights(u.data(), f, c, u_packed.data());
-  }
+  const std::vector<float> u_packed = PackedWinogradWeights(weights, f, c);
   std::vector<float> ws(
       static_cast<size_t>(WinogradWorkspaceFloats(c, f, h, w)));
   std::vector<float> got(static_cast<size_t>(f * h * w), -1.0f);
-  WinogradForward(in.data(), h * w, c, h, w, u.data(),
-                  packed ? u_packed.data() : nullptr, f, got.data(), h * w,
-                  ws.data());
+  WinogradForward(in.data(), h * w, c, h, w, u_packed.data(), f, got.data(),
+                  h * w, ws.data());
 
   for (size_t i = 0; i < ref.size(); ++i) {
     ASSERT_NEAR(got[i], ref[i], 1e-4f + 1e-3f * std::abs(ref[i]))
-        << "c=" << c << " f=" << f << " h=" << h << " w=" << w
-        << " packed=" << packed << " at " << i;
+        << "c=" << c << " f=" << f << " h=" << h << " w=" << w << " at " << i;
   }
 }
 
 TEST(WinogradTest, MatchesDirectConvWithinTolerance) {
   // Even, odd, and non-square spatial sizes (odd exercises the edge
   // clipping of partial 2x2 output tiles), tiny and yolo-scale channel
-  // counts, both the prepacked and plain-GEMM weight paths.
-  for (const bool packed : {false, true}) {
-    WinogradVsDirectCase(1, 1, 4, 4, packed);
-    WinogradVsDirectCase(3, 8, 7, 5, packed);
-    WinogradVsDirectCase(16, 32, 12, 12, packed);
-    WinogradVsDirectCase(8, 4, 1, 1, packed);
-    WinogradVsDirectCase(32, 64, 6, 6, packed);
-  }
+  // counts.
+  WinogradVsDirectCase(1, 1, 4, 4);
+  WinogradVsDirectCase(3, 8, 7, 5);
+  WinogradVsDirectCase(16, 32, 12, 12);
+  WinogradVsDirectCase(8, 4, 1, 1);
+  WinogradVsDirectCase(32, 64, 6, 6);
 }
 
 TEST(WinogradTest, StridedLayoutMatchesContiguous) {
@@ -193,8 +193,7 @@ TEST(WinogradTest, StridedLayoutMatchesContiguous) {
   Rng rng(31);
   std::vector<float> weights(static_cast<size_t>(f * c * 9));
   for (auto& v : weights) v = rng.NextFloat() * 2.0f - 1.0f;
-  std::vector<float> u(static_cast<size_t>(WinogradWeightFloats(f, c)));
-  WinogradTransformWeights(weights.data(), f, c, u.data());
+  const std::vector<float> u_packed = PackedWinogradWeights(weights, f, c);
   std::vector<float> ws(
       static_cast<size_t>(WinogradWorkspaceFloats(c, f, h, w)));
 
@@ -204,7 +203,7 @@ TEST(WinogradTest, StridedLayoutMatchesContiguous) {
 
   const int64_t item = 1;  // middle batch slot
   WinogradForward(in_blocked.data() + item * h * w, batch * h * w, c, h, w,
-                  u.data(), nullptr, f, out_blocked.data() + item * h * w,
+                  u_packed.data(), f, out_blocked.data() + item * h * w,
                   batch * h * w, ws.data());
 
   // Contiguous control: gather item 1's channels, run, compare bitwise.
@@ -215,7 +214,7 @@ TEST(WinogradTest, StridedLayoutMatchesContiguous) {
                 static_cast<size_t>(h * w) * sizeof(float));
   }
   std::vector<float> out_c(static_cast<size_t>(f * h * w), 0.0f);
-  WinogradForward(in_c.data(), h * w, c, h, w, u.data(), nullptr, f,
+  WinogradForward(in_c.data(), h * w, c, h, w, u_packed.data(), f,
                   out_c.data(), h * w, ws.data());
   for (int64_t of = 0; of < f; ++of) {
     EXPECT_EQ(std::memcmp(out_blocked.data() + (of * batch + item) * h * w,
@@ -263,18 +262,15 @@ TEST(GemmStreamBTest, RaggedNShapesMatchReferenceBitwise) {
         << "m=" << s.m << " n=" << s.n << " k=" << s.k;
 
     // Prepacked-A entry point (what the conv layers actually call).
-    if (GemmPackingEnabled()) {
-      std::vector<float> packed(
-          static_cast<size_t>(GemmPackedWeightFloats(s.m, s.k)));
-      GemmPackWeights(a.data(), s.m, s.k, packed.data());
-      std::vector<float> got2(static_cast<size_t>(s.m * s.n), 0.0f);
-      GemmPrepacked(s.m, s.n, s.k, packed.data(), false, b.data(), s.n, 0.0f,
-                    got2.data(), s.n);
-      EXPECT_EQ(std::memcmp(want.data(), got2.data(),
-                            want.size() * sizeof(float)),
-                0)
-          << "prepacked m=" << s.m << " n=" << s.n << " k=" << s.k;
-    }
+    std::vector<float> packed(
+        static_cast<size_t>(GemmPackedWeightFloats(s.m, s.k)));
+    GemmPackWeights(a.data(), s.m, s.k, packed.data());
+    std::vector<float> got2(static_cast<size_t>(s.m * s.n), 0.0f);
+    GemmPrepacked(s.m, s.n, s.k, packed.data(), false, b.data(), s.n, 0.0f,
+                  got2.data(), s.n);
+    EXPECT_EQ(
+        std::memcmp(want.data(), got2.data(), want.size() * sizeof(float)), 0)
+        << "prepacked m=" << s.m << " n=" << s.n << " k=" << s.k;
   }
 }
 

@@ -7,12 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <set>
+#include <string_view>
 #include <vector>
 
 #include "base/cpu_features.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
+#include "darknet/cfg.h"
+#include "darknet/model_zoo.h"
+#include "nn/activation.h"
+#include "nn/conv_layer.h"
+#include "tensor/act_kernels.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_microkernel.h"
 #include "tensor/gemm_pack.h"
@@ -27,12 +35,11 @@ std::vector<float> RandomVec(int64_t n, uint64_t seed) {
   return v;
 }
 
-// Restores dispatch, packing mode and parallelism after every test.
+// Restores dispatch and parallelism after every test.
 class GemmPackedTest : public ::testing::Test {
  protected:
   void TearDown() override {
     internal::SetGemmKernelForTesting(nullptr);
-    internal::SetGemmPackingForTesting(-1);
     SetMaxParallelism(1);
   }
 };
@@ -46,7 +53,6 @@ void ExpectPackedMatchesReference(bool ta, bool tb, int64_t m, int64_t n,
   const int64_t ldb = tb ? k : n;
 
   std::vector<float> c_packed = c0;
-  internal::SetGemmPackingForTesting(1);
   Gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
        c_packed.data(), n);
 
@@ -124,7 +130,6 @@ TEST_F(GemmPackedTest, PrepackedWithEpilogueMatchesSeparatePasses) {
   const auto a = RandomVec(m * k, 5);
   const auto b = RandomVec(k * n, 6);
   const auto bias = RandomVec(m, 7);
-  internal::SetGemmPackingForTesting(1);
 
   std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
   GemmPackWeights(a.data(), m, k, packed.data());
@@ -158,11 +163,83 @@ TEST_F(GemmPackedTest, PrepackedWithEpilogueMatchesSeparatePasses) {
   }
 }
 
+// Distinct (m = filters, n = out_h*out_w, k = c*ks*ks) GEMM shapes of
+// the yolov4-thali conv layers.
+std::set<std::array<int64_t, 3>> ThaliConvGemmShapes() {
+  Rng rng(1);
+  auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
+                                   /*batch_override=*/1, rng,
+                                   ExecMode::kInference);
+  THALI_CHECK_OK(built.status());
+  std::set<std::array<int64_t, 3>> shapes;
+  for (int i = 0; i < built->net->num_layers(); ++i) {
+    const Layer& l = built->net->layer(i);
+    if (std::string_view(l.kind()) != "convolutional") continue;
+    const auto& o = static_cast<const ConvLayer&>(l).options();
+    shapes.insert({o.filters, l.output_shape().dim(2) * l.output_shape().dim(3),
+                   l.input_shape().dim(1) * o.ksize * o.ksize});
+  }
+  return shapes;
+}
+
+// The conv layer's fused write-back against the one GEMM oracle: every
+// epilogue GemmPrepacked offers, on every yolov4-thali conv shape, must
+// equal GemmReference followed by the layer's separate bias and
+// activation passes (ApplyActivation; FastMishInPlace for the fused
+// plan's mish) byte for byte.
+TEST_F(GemmPackedTest, PrepackedEpiloguesMatchReferenceOnThaliShapes) {
+  const auto shapes = ThaliConvGemmShapes();
+  // yolov4-thali spans 22 distinct conv geometries; the sweep must not
+  // silently shrink if the cfg generator changes.
+  ASSERT_EQ(shapes.size(), 22u);
+  uint64_t seed = 40;
+  for (const auto& [m, n, k] : shapes) {
+    const auto a = RandomVec(m * k, seed++);
+    const auto b = RandomVec(k * n, seed++);
+    const auto bias = RandomVec(m, seed++);
+    std::vector<float> packed(
+        static_cast<size_t>(GemmPackedWeightFloats(m, k)));
+    GemmPackWeights(a.data(), m, k, packed.data());
+    std::vector<float> gemm(static_cast<size_t>(m * n));
+    internal::GemmReference(false, false, m, n, k, 1.0f, a.data(), k,
+                            b.data(), n, 0.0f, gemm.data(), n);
+    for (int64_t i = 0; i < m; ++i) {
+      float* row = gemm.data() + i * n;
+      for (int64_t j = 0; j < n; ++j) row[j] += bias[static_cast<size_t>(i)];
+    }
+    const struct {
+      GemmActivation fused;
+      Activation staged;
+    } acts[] = {{GemmActivation::kNone, Activation::kLinear},
+                {GemmActivation::kLeaky, Activation::kLeaky},
+                {GemmActivation::kRelu, Activation::kRelu},
+                {GemmActivation::kMish, Activation::kMish}};
+    for (const auto& act : acts) {
+      std::vector<float> want = gemm;
+      if (act.fused == GemmActivation::kMish) {
+        FastMishInPlace(want.data(), static_cast<int64_t>(want.size()));
+      } else {
+        ApplyActivation(act.staged, want.data(),
+                        static_cast<int64_t>(want.size()));
+      }
+      GemmEpilogue epilogue;
+      epilogue.bias = bias.data();
+      epilogue.activation = act.fused;
+      std::vector<float> got(static_cast<size_t>(m * n), -1.0f);
+      GemmPrepacked(m, n, k, packed.data(), /*tb=*/false, b.data(), n, 0.0f,
+                    got.data(), n, &epilogue);
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << "m=" << m << " n=" << n << " k=" << k << " activation "
+          << ActivationToString(act.staged);
+    }
+  }
+}
+
 TEST_F(GemmPackedTest, PrepackedMatchesPlainGemmAcrossThreadCounts) {
   const int64_t m = 32, n = 170, k = 288;
   const auto a = RandomVec(m * k, 8);
   const auto b = RandomVec(k * n, 9);
-  internal::SetGemmPackingForTesting(1);
   std::vector<float> packed(static_cast<size_t>(GemmPackedWeightFloats(m, k)));
   GemmPackWeights(a.data(), m, k, packed.data());
 
@@ -193,41 +270,6 @@ TEST_F(GemmPackedTest, ForcedScalarFamilyIsSelfConsistent) {
   ExpectPackedMatchesReference(false, false, 23, 45, 130, 1.0f, 0.0f);
   ExpectPackedMatchesReference(true, true, 17, 29, 31, 0.7f, 1.0f);
   internal::SetGemmKernelForTesting(nullptr);
-}
-
-TEST_F(GemmPackedTest, PackingOverrideAndEnvParsing) {
-  internal::SetGemmPackingForTesting(0);
-  EXPECT_FALSE(GemmPackingEnabled());
-  internal::SetGemmPackingForTesting(1);
-  EXPECT_TRUE(GemmPackingEnabled());
-  internal::SetGemmPackingForTesting(-1);
-
-  EXPECT_FALSE(internal::NoPackEnvValueDisables(nullptr));
-  EXPECT_FALSE(internal::NoPackEnvValueDisables(""));
-  EXPECT_FALSE(internal::NoPackEnvValueDisables("0"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("1"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("yes"));
-  EXPECT_TRUE(internal::NoPackEnvValueDisables("00"));
-}
-
-TEST_F(GemmPackedTest, NoPackPathMatchesPackedPath) {
-  const auto a = RandomVec(67 * 129, 12);
-  const auto b = RandomVec(129 * 83, 13);
-  const auto c0 = RandomVec(67 * 83, 14);
-
-  std::vector<float> c_packed = c0;
-  internal::SetGemmPackingForTesting(1);
-  Gemm(false, false, 67, 83, 129, 1.0f, a.data(), 129, b.data(), 83, 1.0f,
-       c_packed.data(), 83);
-
-  std::vector<float> c_nopack = c0;
-  internal::SetGemmPackingForTesting(0);
-  Gemm(false, false, 67, 83, 129, 1.0f, a.data(), 129, b.data(), 83, 1.0f,
-       c_nopack.data(), 83);
-
-  EXPECT_EQ(std::memcmp(c_packed.data(), c_nopack.data(),
-                        c_packed.size() * sizeof(float)),
-            0);
 }
 
 TEST_F(GemmPackedTest, PackedWeightLayoutRoundTrips) {

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -49,7 +51,6 @@ class Int8Test : public ::testing::Test {
     internal::SetInt8ForTesting(-1);
     internal::SetInt8GemmKernelForTesting(nullptr);
     internal::SetInt8EpilogueForTesting(nullptr);
-    internal::SetGemmPackingForTesting(-1);
     internal::SetFusionForTesting(-1);
   }
 };
@@ -353,44 +354,69 @@ BuiltNetwork BuildThali(int int8_mode) {
   return std::move(built).value();
 }
 
+// Folds batch norm on every conv and calibrates the int8 candidates of
+// an armed-plan network with one min/max pass over `input`, then
+// replans so they resolve to int8 and quantize-once chains take effect.
+// Returns the number of convs armed.
+int FoldAndCalibrate(Network& net, const Tensor& input) {
+  THALI_CHECK_OK(net.FoldBatchNorm());
+  net.set_calib_phase(CalibPhase::kRange);
+  Tensor in = input;
+  net.Forward(in, /*train=*/false);
+  net.set_calib_phase(CalibPhase::kOff);
+  int armed = 0;
+  for (int i = 0; i < net.num_layers(); ++i) {
+    if (!net.layer(i).plan().int8_candidate) continue;
+    auto& conv = static_cast<ConvLayer&>(net.layer(i));
+    conv.FinalizeCalibration(100.0);
+    if (conv.has_activation_range()) ++armed;
+  }
+  THALI_CHECK_OK(net.ReplanInference());
+  return armed;
+}
+
 TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
   BuiltNetwork built = BuildThali(1);
-  const Network& net = *built.net;
+  Network& net = *built.net;
   ASSERT_TRUE(net.int8_enabled());
   ASSERT_TRUE(net.exec_plan().fused);
   int quantized_3x3 = 0, quantized_1x1 = 0, quantized_s2 = 0, head_feeders = 0;
+  std::vector<int> candidates;
   for (int i = 0; i < net.num_layers(); ++i) {
     if (std::string_view(net.layer(i).kind()) != "convolutional") continue;
     const auto& conv = static_cast<const ConvLayer&>(net.layer(i));
     const ConvLayer::Options& o = conv.options();
     const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
+    // Before calibration no conv is armed: every candidate resolves to
+    // the fp32 algorithm of its geometry.
+    EXPECT_FALSE(IsInt8ConvAlgo(lp.conv_algo)) << "layer " << i;
+    if (lp.int8_candidate) candidates.push_back(i);
     if (o.ksize == 3 && o.stride == 1 && o.pad == 1) {
       // Winograd geometry: int8 unless the output is NCHW-pinned, which
       // must stay fp32 Winograd (in yolov4-thali no 3x3 conv is pinned,
       // so every one quantizes).
-      if (lp.out_layout == ActLayout::kCNHW) {
-        EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
-        ++quantized_3x3;
-      } else {
-        EXPECT_EQ(lp.conv_algo, ConvAlgo::kWinograd) << "layer " << i;
-      }
+      EXPECT_EQ(lp.conv_algo, ConvAlgo::kWinograd) << "layer " << i;
+      EXPECT_EQ(lp.int8_candidate, lp.out_layout == ActLayout::kCNHW)
+          << "layer " << i;
+      if (lp.int8_candidate) ++quantized_3x3;
     } else if (o.ksize == 1 && o.stride == 1 && o.pad == 0) {
       // Every 1x1 quantizes, layout pins included — the int8 GEMM reads
       // through strides like kDirect1x1, so even the NCHW-pinned head
       // feeders take the quantized algorithm (their fp32 output is the
       // dequant edge into the yolo heads).
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1) << "layer " << i;
+      EXPECT_EQ(lp.conv_algo, ConvAlgo::kDirect1x1) << "layer " << i;
+      EXPECT_TRUE(lp.int8_candidate) << "layer " << i;
       ++quantized_1x1;
       if (lp.out_layout == ActLayout::kNCHW) ++head_feeders;
     } else if (o.ksize == 3 && o.stride == 2 && o.pad == 1) {
       // Downsampling stem convs: the u8 im2col walks any stride, so
-      // these quantize too (they demote to plain im2col — no Winograd
-      // form at stride 2 — when int8 is inactive at runtime).
-      EXPECT_EQ(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
+      // these quantize too (plain im2col until armed — no Winograd form
+      // at stride 2).
+      EXPECT_EQ(lp.conv_algo, ConvAlgo::kIm2col) << "layer " << i;
+      EXPECT_TRUE(lp.int8_candidate) << "layer " << i;
       ++quantized_s2;
     } else {
-      EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8) << "layer " << i;
-      EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1) << "layer " << i;
+      EXPECT_FALSE(lp.int8_candidate) << "layer " << i;
     }
   }
   EXPECT_EQ(quantized_3x3, 13);  // every 3x3/s1/p1 conv of the model
@@ -406,12 +432,31 @@ TEST_F(Int8Test, PlanSelectsInt8OnlyForEligibleUnpinnedConvs) {
     EXPECT_EQ(lp.in_dtype, DType::kF32);
   }
 
-  // Int8 off: the plan must contain no quantized entry at all.
+  // Calibration + replan resolves every candidate — and nothing else —
+  // to the int8 variant of its geometry.
+  Tensor input(net.input_shape());
+  Rng irng(17);
+  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
+  ASSERT_EQ(FoldAndCalibrate(net, input), 25);
+  for (int i = 0; i < net.num_layers(); ++i) {
+    const LayerPlan& lp = net.exec_plan().layers[static_cast<size_t>(i)];
+    const bool candidate = std::find(candidates.begin(), candidates.end(),
+                                     i) != candidates.end();
+    EXPECT_EQ(lp.int8_candidate, candidate) << "layer " << i;
+    EXPECT_EQ(IsInt8ConvAlgo(lp.conv_algo), candidate) << "layer " << i;
+    if (!candidate) continue;
+    const auto& o = static_cast<const ConvLayer&>(net.layer(i)).options();
+    EXPECT_EQ(lp.conv_algo, o.ksize == 1 ? ConvAlgo::kQuantInt8Direct1x1
+                                         : ConvAlgo::kQuantInt8)
+        << "layer " << i;
+  }
+
+  // Int8 off: the plan must contain no candidate and no quantized entry.
   BuiltNetwork off = BuildThali(0);
   EXPECT_FALSE(off.net->int8_enabled());
   for (const LayerPlan& lp : off.net->exec_plan().layers) {
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8);
-    EXPECT_NE(lp.conv_algo, ConvAlgo::kQuantInt8Direct1x1);
+    EXPECT_FALSE(lp.int8_candidate);
+    EXPECT_FALSE(IsInt8ConvAlgo(lp.conv_algo));
   }
 }
 
@@ -441,44 +486,10 @@ TEST_F(Int8Test, Int8OffIsBitwiseIdenticalToDefaultFusedPlan) {
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
-// Folds batch norm on every conv and calibrates the int8 layers of an
-// armed-plan network with one min/max pass over `input`, then replans
-// so quantize-once chains take effect. Returns the number of convs
-// armed.
-int FoldAndCalibrate(Network& net, const Tensor& input) {
-  for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
-    }
-  }
-  net.set_calib_phase(CalibPhase::kRange);
-  Tensor in = input;
-  net.Forward(in, /*train=*/false);
-  net.set_calib_phase(CalibPhase::kOff);
-  int armed = 0;
-  for (int i = 0; i < net.num_layers(); ++i) {
-    Layer& l = net.layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
-    }
-    auto& conv = static_cast<ConvLayer&>(l);
-    conv.FinalizeCalibration(100.0);
-    if (conv.has_activation_range()) ++armed;
-  }
-  THALI_CHECK_OK(net.ReplanInference());
-  return armed;
-}
-
 TEST_F(Int8Test, Int8ForwardRunsQuantizedAndTracksFp32) {
   // fp32 oracle: same seed, same folded weights, int8 off.
   BuiltNetwork fp32 = BuildThali(0);
-  for (int i = 0; i < fp32.net->num_layers(); ++i) {
-    if (std::string_view(fp32.net->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(fp32.net->layer(i)).FoldBatchNorm();
-    }
-  }
+  THALI_CHECK_OK(fp32.net->FoldBatchNorm());
   const std::vector<float> ref = HeadOutputs(fp32);
 
   BuiltNetwork int8 = BuildThali(1);
@@ -524,7 +535,14 @@ TEST_F(Int8Test, ReplanAfterCalibrationChainsMajorityOfThali) {
   ASSERT_GT(FoldAndCalibrate(*int8.net, input), 0);
 
   const ExecPlan& plan = int8.net->exec_plan();
-  // The tentpole acceptance floor: with the stride-2 stem convs
+  // Every int8 candidate of yolov4-thali resolves to int8 once armed.
+  int int8_convs = 0;
+  for (const LayerPlan& lp : plan.layers) {
+    EXPECT_EQ(IsInt8ConvAlgo(lp.conv_algo), lp.int8_candidate);
+    int8_convs += IsInt8ConvAlgo(lp.conv_algo);
+  }
+  EXPECT_EQ(int8_convs, 25);
+  // The acceptance floor: with the stride-2 stem convs
   // quantized and the network input chained as a u8 domain, 49 of the
   // 52 thali layers run quantized (25 quantized convs plus the u8
   // passthroughs between them; only the three yolo heads stay fp32),
@@ -575,8 +593,9 @@ TEST_F(Int8Test, ReplanAfterCalibrationChainsMajorityOfThali) {
   EXPECT_EQ(int8.net->exec_plan().chained_edges, 0);
   for (const LayerPlan& lp : int8.net->exec_plan().layers) {
     EXPECT_EQ(lp.out_dtype, DType::kF32);
+    EXPECT_FALSE(IsInt8ConvAlgo(lp.conv_algo));
   }
-  // And the fp32 fallbacks still forward cleanly.
+  // And the fp32 algorithms the candidates resolve to forward cleanly.
   const std::vector<float> out = HeadOutputs(int8);
   EXPECT_FALSE(out.empty());
 }
@@ -627,6 +646,53 @@ TEST_F(Int8Test, U8OutEpilogueFamiliesAgreeBitwiseIncludingMish) {
       for (uint8_t v : u_s) ASSERT_LE(v, 127);
     }
   }
+}
+
+TEST_F(Int8Test, Int8MishConvWithFp32OutputAppliesMish) {
+  // A quantized 1x1 mish conv whose consumer stays fp32 cannot fuse mish
+  // into the requantize epilogue; the tail must still apply it
+  // (FastMishInPlace). yolov4-thali layer 7 is such a conv once conv 10,
+  // the only conv reading its domain (through route 8 and maxpool 9),
+  // is left unarmed. THALI_NO_ARENA keeps layer 7's output readable
+  // after the forward.
+  ASSERT_EQ(setenv("THALI_NO_ARENA", "1", 1), 0);
+  BuiltNetwork fp32 = BuildThali(0);
+  BuiltNetwork int8 = BuildThali(1);
+  ASSERT_EQ(unsetenv("THALI_NO_ARENA"), 0);
+  const auto& conv7 = static_cast<const ConvLayer&>(int8.net->layer(7));
+  ASSERT_EQ(conv7.options().ksize, 1);
+  ASSERT_EQ(conv7.options().activation, Activation::kMish);
+  ASSERT_EQ(std::string_view(int8.net->layer(10).kind()), "convolutional");
+
+  Tensor input(int8.net->input_shape());
+  Rng irng(17);
+  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
+  ASSERT_GT(FoldAndCalibrate(*int8.net, input), 0);
+  static_cast<ConvLayer&>(int8.net->layer(10)).ResetCalibration();
+  THALI_CHECK_OK(int8.net->ReplanInference());
+  const LayerPlan& lp7 = int8.net->exec_plan().layers[7];
+  ASSERT_EQ(lp7.conv_algo, ConvAlgo::kQuantInt8Direct1x1);
+  ASSERT_EQ(lp7.out_dtype, DType::kF32);
+  EXPECT_EQ(conv7.EpilogueName(), "gemm(bias) mish");
+
+  THALI_CHECK_OK(fp32.net->FoldBatchNorm());
+  HeadOutputs(fp32);
+  HeadOutputs(int8);
+  const Tensor& want = fp32.net->layer(7).output();
+  const Tensor& got = int8.net->layer(7).output();
+  ASSERT_EQ(got.size(), want.size());
+  double num = 0.0, den = 0.0;
+  float lo = 0.0f;
+  for (int64_t i = 0; i < got.size(); ++i) {
+    const double d = static_cast<double>(got[i]) - want[i];
+    num += d * d;
+    den += static_cast<double>(want[i]) * want[i];
+    lo = std::min(lo, got[i]);
+  }
+  // mish(x) >= -0.3089 everywhere; an unapplied activation leaves the
+  // raw (much more negative) pre-activations behind.
+  EXPECT_GE(lo, -0.31f);
+  EXPECT_LT(std::sqrt(num / den), 0.15) << "relative L2 vs fp32";
 }
 
 TEST_F(Int8Test, CalibrationSurvivesRebatchAndMatchesBatchOne) {
@@ -737,11 +803,7 @@ TEST_F(Int8Test, CalibrateInt8KeepsMapWithinOnePointOfFp32) {
   };
 
   BuiltNetwork fp32 = build_eval(0);
-  for (int i = 0; i < fp32.net->num_layers(); ++i) {
-    if (std::string_view(fp32.net->layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(fp32.net->layer(i)).FoldBatchNorm();
-    }
-  }
+  THALI_CHECK_OK(fp32.net->FoldBatchNorm());
   std::vector<DetectionHead*> fp32_heads(fp32.yolo_layers.begin(),
                                          fp32.yolo_layers.end());
   const float map_fp32 =

@@ -290,6 +290,32 @@ TEST_F(NetServerTest, PriorityDeadlineAndModelIdTravelOnTheWire) {
   EXPECT_TRUE(client->Detect(req).ok());
 }
 
+TEST_F(NetServerTest, NonRgbImageGetsStatusReplyAndConnectionSurvives) {
+  // DecodeDetectRequest accepts 1-4 channels; the detector needs 3. A
+  // well-formed 1-channel frame must come back as an InvalidArgument
+  // reply, and the same connection must then serve a valid request.
+  StartServer();
+  auto client = NetClient::Connect(server_->port());
+  ASSERT_TRUE(client.ok());
+
+  DetectRequest gray;
+  gray.image = Image(64, 48, 1);
+  auto rejected = client->Detect(gray);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+      << rejected.status().ToString();
+
+  const Image platter = RenderPlatter(/*seed=*/23);
+  auto in_process = router_.Find("yolo")->Submit(Image(platter));
+  ASSERT_TRUE(in_process.ok());
+  serve::Server::Result direct = in_process->get();
+  ASSERT_TRUE(direct.ok());
+  DetectRequest req;
+  req.image = platter;
+  auto served = client->Detect(req);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectSameDetections(*served, *direct);
+}
+
 TEST_F(NetServerTest, StatsOpReturnsRouterAndNetJson) {
   StartServer();
   auto client = NetClient::Connect(server_->port());

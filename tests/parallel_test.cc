@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "base/rng.h"
@@ -36,7 +37,6 @@ class ParallelTest : public ::testing::Test {
  protected:
   void TearDown() override {
     SetMaxParallelism(1);
-    internal::SetGemmPackingForTesting(-1);
     internal::SetFusionForTesting(-1);
     internal::SetInt8ForTesting(-1);
     internal::SetInt8GemmKernelForTesting(nullptr);
@@ -213,8 +213,8 @@ TEST_F(ParallelTest, GemmBitwiseIdenticalAcrossThreadCounts) {
 
 TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
   // Sizes straddle every cache block (MC=120, NC=512, KC=256). The packed
-  // driver at any thread count, and the THALI_NO_PACK reference path,
-  // must all match the sequential oracle bitwise.
+  // driver at any thread count must match the sequential unpacked oracle
+  // bitwise.
   const int64_t m = 131, n = 531, kk = 307;
   const auto a = RandomVec(m * kk, 21), b = RandomVec(kk * n, 22);
   const auto c0 = RandomVec(m * n, 23);
@@ -223,100 +223,105 @@ TEST_F(ParallelTest, PackedGemmBitwiseIdenticalAcrossThreadsAndPaths) {
   internal::GemmReference(false, false, m, n, kk, 1.0f, a.data(), kk,
                           b.data(), n, 0.5f, c_ref.data(), n);
 
-  for (const int packing : {1, 0}) {
-    internal::SetGemmPackingForTesting(packing);
-    for (const int threads : {1, 2, 4}) {
-      SetMaxParallelism(threads);
-      std::vector<float> c = c0;
-      Gemm(false, false, m, n, kk, 1.0f, a.data(), kk, b.data(), n, 0.5f,
-           c.data(), n);
-      EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)),
-                0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  for (const int threads : {1, 2, 4}) {
+    SetMaxParallelism(threads);
+    std::vector<float> c = c0;
+    Gemm(false, false, m, n, kk, 1.0f, a.data(), kk, b.data(), n, 0.5f,
+         c.data(), n);
+    EXPECT_EQ(std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(float)),
+              0)
+        << "threads=" << threads;
   }
-  internal::SetGemmPackingForTesting(-1);
 }
 
-// Full yolov4-thali inference forward; returns the detection-head
-// activations flattened for bitwise comparison. `fold_bn` folds batch
-// norm into weights/biases first, which routes every conv through the
-// fused bias+activation GEMM epilogue when packing is on.
-std::vector<float> ThaliInferenceForward(int threads, bool packing,
-                                         bool fold_bn) {
-  SetMaxParallelism(threads);
-  internal::SetGemmPackingForTesting(packing ? 1 : 0);
-  YoloThaliOptions yo;
-  Rng rng(4242);
-  auto built = BuildNetworkFromCfg(YoloThaliCfg(yo), /*batch_override=*/1,
-                                   rng, ExecMode::kInference);
-  THALI_CHECK_OK(built.status());
-  Network& net = *built->net;
-  if (fold_bn) {
-    for (int i = 0; i < net.num_layers(); ++i) {
-      if (std::string_view(net.layer(i).kind()) == "convolutional") {
-        static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
-      }
-    }
-  }
-  Tensor input(net.input_shape());
-  Rng irng(17);
-  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
-  net.Forward(input, /*train=*/false);
+std::vector<float> HeadOutputs(const BuiltNetwork& built) {
   std::vector<float> flat;
-  for (YoloLayer* head : built->yolo_layers) {
+  for (YoloLayer* head : built.yolo_layers) {
     const Tensor& out = head->output();
     flat.insert(flat.end(), out.data(), out.data() + out.size());
   }
-  internal::SetGemmPackingForTesting(-1);
   return flat;
 }
 
+Tensor ThaliInput(const Network& net) {
+  Tensor input(net.input_shape());
+  Rng irng(17);
+  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
+  return input;
+}
+
 TEST_F(ParallelTest, ThaliInferenceBitwiseIdenticalAcrossThreadsAndPacking) {
-  const std::vector<float> base = ThaliInferenceForward(1, true, false);
+  // Unfolded yolov4-thali (batch norm kept as its own pass) under the
+  // default plan. Weights are always prepacked, so the legs left are the
+  // thread counts: every one must match the single-thread forward.
+  const auto forward = [](int threads) {
+    SetMaxParallelism(threads);
+    Rng rng(4242);
+    auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
+                                     /*batch_override=*/1, rng,
+                                     ExecMode::kInference);
+    THALI_CHECK_OK(built.status());
+    built->net->Forward(ThaliInput(*built->net), /*train=*/false);
+    return HeadOutputs(*built);
+  };
+  const std::vector<float> base = forward(1);
   ASSERT_FALSE(base.empty());
-  for (const bool packing : {true, false}) {
-    for (const int threads : {1, 2, 4}) {
-      if (packing && threads == 1) continue;  // that's `base`
-      const std::vector<float> got =
-          ThaliInferenceForward(threads, packing, false);
-      ASSERT_EQ(got.size(), base.size());
-      EXPECT_EQ(
-          std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  for (const int threads : {2, 4}) {
+    const std::vector<float> got = forward(threads);
+    ASSERT_EQ(got.size(), base.size());
+    EXPECT_EQ(std::memcmp(got.data(), base.data(), got.size() * sizeof(float)),
+              0)
+        << "threads=" << threads;
   }
+}
+
+// Batch-norm-folded yolov4-thali under the reference plan (THALI_NO_FUSE)
+// in the given execution mode; returns the detection-head activations
+// of one forward, flattened for bitwise comparison.
+std::vector<float> FoldedReferencePlanForward(ExecMode mode, int threads) {
+  SetMaxParallelism(threads);
+  internal::SetFusionForTesting(0);
+  Rng rng(4242);
+  auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
+                                   /*batch_override=*/1, rng, mode);
+  internal::SetFusionForTesting(-1);
+  THALI_CHECK_OK(built.status());
+  THALI_CHECK_OK(built->net->FoldBatchNorm());
+  built->net->Forward(ThaliInput(*built->net), /*train=*/false);
+  return HeadOutputs(*built);
 }
 
 TEST_F(ParallelTest, FoldedThaliInferenceBitwiseIdenticalWithFusedEpilogue) {
-  // Folded batch norm makes every conv eligible for the fused
-  // bias+activation write-back; packed (fused) and no-pack (staged
-  // passes) runs must still agree bitwise at every thread count.
-  const std::vector<float> base = ThaliInferenceForward(1, true, true);
-  ASSERT_FALSE(base.empty());
-  for (const bool packing : {true, false}) {
-    for (const int threads : {1, 4}) {
-      if (packing && threads == 1) continue;
-      const std::vector<float> got =
-          ThaliInferenceForward(threads, packing, true);
-      ASSERT_EQ(got.size(), base.size());
-      EXPECT_EQ(
-          std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
-          << "packing=" << packing << " threads=" << threads;
-    }
+  // With batch norm folded, every inference conv of the reference plan
+  // fuses bias + activation into the GEMM write-back. The seed semantics
+  // — a training network's forward: GEMM, then separate bias and
+  // activation passes — must agree bitwise at every thread count.
+  const std::vector<float> staged =
+      FoldedReferencePlanForward(ExecMode::kTraining, 1);
+  ASSERT_FALSE(staged.empty());
+  for (const int threads : {1, 4}) {
+    const std::vector<float> fused =
+        FoldedReferencePlanForward(ExecMode::kInference, threads);
+    ASSERT_EQ(fused.size(), staged.size());
+    EXPECT_EQ(
+        std::memcmp(fused.data(), staged.data(), fused.size() * sizeof(float)),
+        0)
+        << "threads=" << threads;
   }
 }
 
-// Full yolov4-thali int8 inference: builds with int8 latched (and
-// optionally fusion disabled, where int8 must become a no-op), folds
-// batch norm, min/max-calibrates every quantized-algo conv on the test
-// input, replans so the quantize-once chains arm, then forwards through
-// a SetBatch(1 -> 4 -> 1) cycle with the given kernel family forced. Returns the final batch-1 head
-// activations flattened for bitwise comparison.
-std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
-                                    bool fuse, int int8_mode) {
+// Full yolov4-thali inference as deployed: int8 and fusion latched as
+// given, batch norm folded unless `fold` is false (folded, every conv
+// resolves its fused epilogue); every int8 candidate min/max-calibrated
+// on the test input, then a replan arms them and the quantize-once
+// chains. Forwards through a SetBatch(1 -> 4 -> 1) cycle with the given
+// int8 kernel family forced (nullptr: dispatch default) and returns the
+// final batch-1 head activations flattened for bitwise comparison.
+std::vector<float> ThaliForward(int threads, bool int8, bool fuse,
+                                const char* kernel = nullptr,
+                                bool fold = true) {
   SetMaxParallelism(threads);
-  internal::SetInt8ForTesting(int8_mode);
+  internal::SetInt8ForTesting(int8 ? 1 : 0);
   internal::SetFusionForTesting(fuse ? -1 : 0);
   Rng rng(4242);
   auto built = BuildNetworkFromCfg(YoloThaliCfg(YoloThaliOptions{}),
@@ -326,31 +331,21 @@ std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
   internal::SetInt8ForTesting(-1);
   THALI_CHECK_OK(built.status());
   Network& net = *built->net;
-  for (int i = 0; i < net.num_layers(); ++i) {
-    if (std::string_view(net.layer(i).kind()) == "convolutional") {
-      static_cast<ConvLayer&>(net.layer(i)).FoldBatchNorm();
-    }
-  }
-  Tensor input(net.input_shape());
-  Rng irng(17);
-  for (int64_t i = 0; i < input.size(); ++i) input[i] = irng.NextGaussian();
+  if (fold) THALI_CHECK_OK(net.FoldBatchNorm());
+  const Tensor input = ThaliInput(net);
 
   net.set_calib_phase(CalibPhase::kRange);
   Tensor calib = input;
   net.Forward(calib, /*train=*/false);
   net.set_calib_phase(CalibPhase::kOff);
   for (int i = 0; i < net.num_layers(); ++i) {
-    Layer& l = net.layer(i);
-    if (std::string_view(l.kind()) != "convolutional") continue;
-    if (l.plan().conv_algo != ConvAlgo::kQuantInt8 &&
-        l.plan().conv_algo != ConvAlgo::kQuantInt8Direct1x1) {
-      continue;
+    if (net.layer(i).plan().int8_candidate) {
+      static_cast<ConvLayer&>(net.layer(i)).FinalizeCalibration(100.0);
     }
-    static_cast<ConvLayer&>(l).FinalizeCalibration(100.0);
   }
-  // Picks up the quantize-once chains (u8 edges, int8 1x1, fused mish
-  // requantize) so the thread x kernel matrix exercises the chained
-  // forward, not just per-layer quantization.
+  // Resolves the candidates to int8 and picks up the quantize-once
+  // chains (u8 edges, int8 1x1, fused mish requantize) so the matrix
+  // exercises the chained forward, not just per-layer quantization.
   THALI_CHECK_OK(net.ReplanInference());
 
   internal::SetInt8GemmKernelForTesting(kernel);
@@ -367,26 +362,53 @@ std::vector<float> ThaliInt8Forward(int threads, const char* kernel,
   Tensor again = input;
   net.Forward(again, /*train=*/false);
   internal::SetInt8GemmKernelForTesting(nullptr);
-
-  std::vector<float> flat;
-  for (YoloLayer* head : built->yolo_layers) {
-    const Tensor& out = head->output();
-    flat.insert(flat.end(), out.data(), out.data() + out.size());
-  }
-  return flat;
+  return HeadOutputs(*built);
 }
+
+// The determinism matrix: threads {1, 2, 4} x {fp32, int8} x {fused plan,
+// THALI_NO_FUSE reference plan}. Every cell must reproduce the 1-thread
+// run of its configuration bit for bit; fp32 cells check the network
+// with and without batch norm folded (int8 only runs folded).
+class ThaliDeterminismTest
+    : public ParallelTest,
+      public ::testing::WithParamInterface<std::tuple<int, bool, bool>> {};
+
+TEST_P(ThaliDeterminismTest, BitwiseIdenticalToOneThread) {
+  const auto [threads, int8, fuse] = GetParam();
+  for (const bool fold : {true, false}) {
+    if (int8 && !fold) continue;
+    const std::vector<float> base = ThaliForward(1, int8, fuse, nullptr, fold);
+    ASSERT_FALSE(base.empty());
+    const std::vector<float> got =
+        ThaliForward(threads, int8, fuse, nullptr, fold);
+    ASSERT_EQ(got.size(), base.size());
+    EXPECT_EQ(
+        std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
+        << "fold=" << fold;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, ThaliDeterminismTest,
+    ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool, bool>>& info) {
+      return "t" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_int8" : "_fp32") +
+             (std::get<2>(info.param) ? "_fused" : "_nofuse");
+    });
 
 TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
   // The quantized forward must be bitwise stable across thread counts,
   // kernel families, and batch re-planning — exact integer accumulation
   // plus the shared scalar requantize epilogue make this a hard
   // equality, unlike the fp32 Winograd tolerance.
-  const std::vector<float> base = ThaliInt8Forward(1, "scalar", true, 1);
+  const std::vector<float> base = ThaliForward(1, true, true, "scalar");
   ASSERT_FALSE(base.empty());
   for (const char* kernel : {"scalar", "avx2"}) {
     for (const int threads : {1, 2, 4}) {
       if (std::string_view(kernel) == "scalar" && threads == 1) continue;
-      const std::vector<float> got = ThaliInt8Forward(threads, kernel, true, 1);
+      const std::vector<float> got = ThaliForward(threads, true, true, kernel);
       ASSERT_EQ(got.size(), base.size());
       EXPECT_EQ(
           std::memcmp(got.data(), base.data(), got.size() * sizeof(float)), 0)
@@ -398,8 +420,8 @@ TEST_F(ParallelTest, Int8InferenceBitwiseIdenticalAcrossThreadsAndKernels) {
 TEST_F(ParallelTest, Int8UnderNoFuseIsBitwiseFp32) {
   // THALI_NO_FUSE disables the whole fused plan, so THALI_INT8 must
   // become a no-op: identical bits to an int8-off no-fuse run.
-  const std::vector<float> fp32 = ThaliInt8Forward(4, "avx2", false, 0);
-  const std::vector<float> int8 = ThaliInt8Forward(4, "avx2", false, 1);
+  const std::vector<float> fp32 = ThaliForward(4, false, false, "avx2");
+  const std::vector<float> int8 = ThaliForward(4, true, false, "avx2");
   ASSERT_EQ(int8.size(), fp32.size());
   ASSERT_FALSE(fp32.empty());
   EXPECT_EQ(
